@@ -314,7 +314,8 @@ def cmd_predict(config: RunConfig) -> int:
     for x in data.examples:
         value = decide(model, x)
         if model.task == "classification":
-            lines.append(f"{predict_label(model, x):+d} {value!r}\n")
+            # the tie rule of predict_label, without a second decision
+            lines.append(f"{1 if value >= 0.0 else -1:+d} {value!r}\n")
         else:
             lines.append(f"{value!r}\n")
     text = "".join(lines)

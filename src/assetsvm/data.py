@@ -24,7 +24,7 @@ class DataFormatError(ValueError):
     """Malformed libsvm text or inconsistent dataset contents."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SparseVector:
     """Feature vector stored as parallel index/value arrays.
 

@@ -69,6 +69,23 @@ def _dense_block(points: tuple[SparseVector, ...], n: int) -> tuple[np.ndarray, 
     return dense, norms
 
 
+def _gaussian(
+    kernel: GaussianKernel, norms_a: np.ndarray, norms_b: np.ndarray | float, cross: np.ndarray
+) -> np.ndarray:
+    # exp(-sigma * ||a - b||^2) from squared norms and cross products, which
+    # broadcast to the shape of ``cross``; every entry is one counted kernel
+    # value. Cancellation can leave a tiny negative distance, clipped to 0.
+    _counts["kernel"] += cross.size
+    return np.exp(-kernel.sigma * np.maximum(norms_a + norms_b - 2.0 * cross, 0.0))
+
+
+def _kernel_block(kernel: GaussianKernel, points: tuple[SparseVector, ...], n: int) -> np.ndarray:
+    # Symmetrized kernel matrix of a point set against itself.
+    dense, norms = _dense_block(points, n)
+    block = _gaussian(kernel, norms[:, np.newaxis], norms[np.newaxis, :], dense @ dense.T)
+    return (block + block.T) / 2.0
+
+
 def _kernel_row(
     kernel: GaussianKernel,
     dense_points: np.ndarray,
@@ -87,9 +104,7 @@ def _kernel_row(
             cross = dense_points[:, idx] @ x.values
     else:
         cross = np.zeros(len(dense_points))
-    sq = np.maximum(point_norms + x.norm_sq() - 2.0 * cross, 0.0)
-    _counts["kernel"] += len(dense_points)
-    return np.exp(-kernel.sigma * sq)
+    return _gaussian(kernel, point_norms, x.norm_sq(), cross)
 
 
 @dataclass(eq=False)
@@ -114,12 +129,12 @@ class NystromMap:
     _dense: np.ndarray = field(init=False, repr=False)
     _norms: np.ndarray = field(init=False, repr=False)
     _projector: np.ndarray = field(init=False, repr=False)
-    _row_cache: dict = field(init=False, repr=False)
+    _row_cache: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self._dense, self._norms = _dense_block(self.sample_points, self.input_dim)
         self._projector = self.basis * self.inv_sqrt_eigs[np.newaxis, :]
-        self._row_cache = {}
+        self._row_cache = []
 
     @property
     def dim(self) -> int:
@@ -134,10 +149,15 @@ class NystromMap:
         return kvec @ self._projector
 
     def training_row(self, data: Dataset, index: int) -> np.ndarray:
-        row = self._row_cache.get(index)
+        cache = self._row_cache
+        if len(cache) < data.m:
+            # a list slot per example costs less memory than a dict entry
+            # plus its int key
+            cache = self._row_cache = cache + [None] * (data.m - len(cache))
+        row = cache[index]
         if row is None:
             row = self.map_point(data.examples[index])
-            self._row_cache[index] = row
+            cache[index] = row
         return row
 
 
@@ -206,13 +226,7 @@ def build_nystrom(
     indices = np.sort(rng.choice(data.m, size=sample_size, replace=False))
     points = tuple(data.examples[int(i)] for i in indices)
 
-    dense, norms = _dense_block(points, data.n)
-    sq = np.maximum(norms[:, np.newaxis] + norms[np.newaxis, :] - 2.0 * (dense @ dense.T), 0.0)
-    block = np.exp(-kernel.sigma * sq)
-    block = (block + block.T) / 2.0
-    _counts["kernel"] += sample_size * sample_size
-
-    eig = sym_eig(block)
+    eig = sym_eig(_kernel_block(kernel, points, data.n))
     # An absolute eps_d below machine noise cannot separate true rank from
     # factorization roundoff, so the cut never drops beneath the standard
     # rank-detection floor for this block.

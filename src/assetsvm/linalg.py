@@ -1,24 +1,29 @@
 """Dense symmetric eigendecomposition and the projections the solver needs.
 
-The eigensolver is a cyclic Jacobi iteration: at the few-hundred-row scale
-of the sampled kernel blocks factorized here, its O(s^3) cost is cheap and
-its behavior is simple and deterministic (eigenvalues sorted nonincreasing,
-ties broken by original diagonal position).
+``sym_eig`` delegates to LAPACK through ``numpy.linalg.eigh`` and returns
+the result in a canonical form, so that a model depends only on the
+matrix and not on choices LAPACK leaves open:
+
+* eigenvalues are sorted nonincreasing by a stable sort; tied values keep
+  their diagonal positions when the input is already diagonal, and
+  LAPACK's order otherwise;
+* each eigenvector's sign is fixed so that its largest-magnitude entry is
+  positive (the first such entry on a tie).
+
+The output is bit-reproducible for a fixed numpy/LAPACK build and BLAS
+thread count; LAPACK's blocked kernels may round differently when the
+thread count changes (see the README's Reproducibility section).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-OFFDIAG_TOL = 1e-12
-MAX_SWEEPS = 60
-
 
 class ConvergenceError(RuntimeError):
-    """Sweep budget exhausted before the off-diagonal mass fell below tolerance."""
+    """An iterative numeric routine failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -29,45 +34,12 @@ class EigenDecomposition:
     values: np.ndarray
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    # One Jacobi rotation zeroing a[p, q]; updates a (symmetric) and the
-    # accumulated eigenvector matrix v in place.
-    apq = a[p, q]
-    app = a[p, p]
-    aqq = a[q, q]
-    theta = (aqq - app) / (2.0 * apq)
-    if abs(theta) > 1e150:
-        t = 1.0 / (2.0 * theta)
-    else:
-        t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
+def sym_eig(matrix: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix in canonical form.
 
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    a[p, :] = a[:, p]
-    a[q, :] = a[:, q]
-    a[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-    a[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vec_p = v[:, p].copy()
-    v[:, p] = c * vec_p - s * v[:, q]
-    v[:, q] = s * vec_p + c * v[:, q]
-
-
-def sym_eig(
-    matrix: np.ndarray,
-    tol: float = OFFDIAG_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Convergence is declared when the off-diagonal Frobenius norm drops
-    below ``tol`` relative to the Frobenius norm of the input.
+    The input is checked to be square, finite and symmetric, then
+    symmetrized exactly before factorization. A LAPACK convergence
+    failure is raised as :class:`ConvergenceError`.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -82,28 +54,24 @@ def sym_eig(
     if size == 0:
         return EigenDecomposition(np.zeros((0, 0)), np.zeros(0))
     a = (a + a.T) / 2.0
-    v = np.eye(size)
-    stop = tol * max(float(np.linalg.norm(a)), np.finfo(float).tiny)
+    diagonal = np.diag(a)
+    if np.count_nonzero(a) == np.count_nonzero(diagonal):
+        # LAPACK sorts by selection, which scrambles tied eigenvalues even on
+        # diagonal input; here the unit vectors are exact and ties keep their
+        # diagonal positions.
+        values, vectors = diagonal.copy(), np.eye(size)
+    else:
+        try:
+            values, vectors = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from None
 
-    sweeps = 0
-    while True:
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        if float(np.linalg.norm(off)) <= stop:
-            break
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"Jacobi iteration did not converge within {max_sweeps} sweeps"
-            )
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                if a[p, q] != 0.0:
-                    _rotate(a, v, p, q)
-        sweeps += 1
-
-    values = np.diag(a).copy()
     order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(np.ascontiguousarray(v[:, order]), values[order])
+    values, vectors = values[order], vectors[:, order]
+    # argmax picks the first of tied magnitudes
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(size)]
+    vectors = vectors * np.where(lead < 0.0, -1.0, 1.0)
+    return EigenDecomposition(np.ascontiguousarray(vectors), values)
 
 
 def project_ball(vector: np.ndarray, radius: float) -> np.ndarray:

@@ -238,8 +238,17 @@ def load_model(source: str | IO[str]) -> Model:
     if approx == "fourier":
         gamma = _parse_floats(reader.next("gamma"), dim, "gamma")
         offsets = _parse_floats(reader.next("offsets"), dim, "offsets")
-        freqs = np.empty((dim, input_dim))
-        for k in range(dim):
+        # d and n are untrusted until the gamma line and the first freq row
+        # have matched them by token count; only then is the matrix allocated.
+        first = _parse_floats(reader.next("freq"), input_dim, "freq row 1")
+        try:
+            freqs = np.empty((dim, input_dim))
+        except MemoryError:
+            raise ModelFormatError(
+                f"a {dim} x {input_dim} frequency matrix does not fit in memory"
+            ) from None
+        freqs[0] = first
+        for k in range(1, dim):
             freqs[k] = _parse_floats(reader.next("freq"), input_dim, f"freq row {k + 1}")
         payload: FourierMap | NystromRecovery = FourierMap(
             kernel=GaussianKernel(sigma), frequencies=freqs, offsets=offsets, input_dim=input_dim

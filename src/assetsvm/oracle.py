@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernels import FeatureMap, GaussianKernel, _counts, _dense_block
+from .kernels import FeatureMap, GaussianKernel, _kernel_block
 from .linalg import ConvergenceError, sym_eig
 from .solver import feasible_region
 
@@ -33,11 +33,7 @@ class ExactSolution:
 
 def gram_matrix(kernel: GaussianKernel, data: Dataset) -> np.ndarray:
     """Full m x m kernel matrix (symmetrized)."""
-    dense, norms = _dense_block(data.examples, data.n)
-    sq = np.maximum(norms[:, np.newaxis] + norms[np.newaxis, :] - 2.0 * (dense @ dense.T), 0.0)
-    out = np.exp(-kernel.sigma * sq)
-    _counts["kernel"] += data.m * data.m
-    return (out + out.T) / 2.0
+    return _kernel_block(kernel, data.examples, data.n)
 
 
 def _mean_loss(scores: np.ndarray, labels: np.ndarray, task: str, epsilon: float) -> float:

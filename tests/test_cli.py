@@ -2,8 +2,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from assetsvm import eval_counts, reset_eval_counts
 from assetsvm.cli import main
 from helpers import sinusoid_dataset, two_moons, write_libsvm
 
@@ -127,6 +129,16 @@ class TestTrain:
         assert code == 3
         assert not os.path.exists(model)
 
+    def test_eigensolver_failure_is_numeric_error(self, moons_files, tmp_path, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        train, _ = moons_files
+        model = str(tmp_path / "model.txt")
+        assert main(train_args(train, model, **{"--s": "16"})) == 3
+        assert not os.path.exists(model)
+
     def test_conflicting_budgets_rejected(self, moons_files, tmp_path):
         train, _ = moons_files
         model = str(tmp_path / "model.txt")
@@ -175,6 +187,27 @@ class TestPredict:
         with open(wide, "w") as handle:
             handle.write("+1 1:0.5 9:1.0\n")
         assert main(["predict", "--model", model, "--data", wide]) == 2
+
+    def test_one_decision_per_point(self, moons_files, tmp_path):
+        train, test = moons_files
+        model = str(tmp_path / "model.txt")
+        assert main(train_args(train, model, **{"--s": "16", "--epochs": "1"})) == 0
+        out = str(tmp_path / "preds.txt")
+        reset_eval_counts()
+        assert main(["predict", "--model", model, "--data", test, "--out", out]) == 0
+        assert eval_counts() == {"kernel": 300 * 16, "cosine": 0}
+
+    def test_oversized_frequency_header_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(
+            "ASSET-MODEL v1\ntask classification\napprox fourier\nsigma 1.0\n"
+            "lambda 0.001\nbias 0.0\nn 1000000000000000\nd 1\n"
+            "gamma 0.5\noffsets 0.25\nfreq 1.0\n"
+        )
+        data = tmp_path / "one.svm"
+        data.write_text("+1 1:0.5\n")
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_stdout_output(self, moons_files, tmp_path, capsys):
         train, _ = moons_files

@@ -64,10 +64,21 @@ class TestSymEig:
         with pytest.raises(ValueError):
             sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
-    def test_sweep_budget_exhaustion_raises(self):
-        a = random_symmetric(6, np.random.default_rng(4))
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError):
-            sym_eig(a, max_sweeps=0)
+            sym_eig(random_symmetric(6, np.random.default_rng(4)))
+
+    def test_largest_entry_of_each_vector_is_positive(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            eig = sym_eig(random_symmetric(7, rng))
+            columns = np.arange(7)
+            lead = eig.vectors[np.argmax(np.abs(eig.vectors), axis=0), columns]
+            assert np.all(lead > 0.0)
 
 
 class TestProjectBall:

@@ -190,6 +190,16 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError):
             load_model(io.StringIO(text))
 
+    def test_frequency_matrix_allocation_failure_rejected(self, monkeypatch):
+        text = model_to_text(fourier_model(dim=4))
+
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate {shape}")
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        with pytest.raises(ModelFormatError, match="memory"):
+            load_model(io.StringIO(text))
+
 
 class TestNystromRecoveryType:
     def test_length_mismatch_rejected(self):
