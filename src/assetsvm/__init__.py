@@ -24,12 +24,10 @@ from .kernels import (
     build_fourier,
     build_nystrom,
     eval_counts,
-    fourier_map,
     kernel_eval,
-    nystrom_row,
     reset_eval_counts,
 )
-from .linalg import ConvergenceError, EigenDecomposition, clamp_interval, project_ball, sym_eig
+from .linalg import ConvergenceError, EigenDecomposition, sym_eig
 from .model import (
     Model,
     ModelFormatError,
@@ -45,18 +43,12 @@ from .solver import (
     FeasibleRegion,
     GradientStats,
     SolverParams,
-    SolverState,
     TrivialRegressionError,
-    asset_step,
     asset_train,
     default_intercept_bound,
-    eps_insensitive_subgradient,
     estimate_dg,
     feasible_region,
-    hinge_subgradient,
-    initial_state,
     running_average,
-    steplength,
 )
 
 __version__ = "0.1.0"

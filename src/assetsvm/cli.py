@@ -14,7 +14,7 @@ from typing import IO
 
 import numpy as np
 
-from .data import DataFormatError, Dataset, load_libsvm
+from .data import DataFormatError, load_libsvm
 from .kernels import (
     DegenerateKernelError,
     GaussianKernel,
@@ -22,11 +22,14 @@ from .kernels import (
     build_nystrom,
 )
 from .linalg import ConvergenceError
-from .model import Model, ModelFormatError, decide, load_model, predict_label, recover_alpha, save_model
+from .model import Model, ModelFormatError, decide, load_model, recover_alpha, save_model
+# not called here; bench/spans.py traces calls through cli.predict_label
+from .model import predict_label  # noqa: F401
 from .oracle import feature_objective
 from .solver import (
     SolverParams,
     TrivialRegressionError,
+    _mean_loss,
     asset_train,
     feasible_region,
 )
@@ -176,19 +179,11 @@ def _validate_train(config: RunConfig) -> None:
         raise UsageError("--epsilon applies only to regression")
 
 
-def _eval_error(
-    model: Model, data: Dataset, epsilon: float
-) -> float:
-    if data.task == "classification" or model.task == "classification":
-        wrong = sum(
-            1 for x, y in zip(data.examples, data.labels) if predict_label(model, x) != int(y)
-        )
-        return wrong / data.m
-    losses = [
-        max(abs(float(y) - decide(model, x)) - epsilon, 0.0)
-        for x, y in zip(data.examples, data.labels)
-    ]
-    return float(np.mean(losses))
+def _eval_error(scores: np.ndarray, labels: np.ndarray, task: str, epsilon: float) -> float:
+    """Classification error rate (a score of 0 predicts +1), or mean tube loss."""
+    if task == "classification":
+        return float(np.mean(np.where(scores >= 0.0, 1.0, -1.0) != labels))
+    return _mean_loss(scores, labels, task, epsilon)
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -260,17 +255,7 @@ def cmd_train(config: RunConfig) -> int:
             if eval_data is not None:
                 rows = (feature_map.map_point(x) for x in eval_data.examples)
                 scores = np.array([float(np.dot(r, gamma)) + b for r in rows])
-                if config.task == "classification":
-                    predicted = np.where(scores >= 0.0, 1.0, -1.0)
-                    err = float(np.mean(predicted != eval_data.labels))
-                else:
-                    err = float(
-                        np.mean(
-                            np.maximum(
-                                np.abs(eval_data.labels - scores) - config.epsilon, 0.0
-                            )
-                        )
-                    )
+                err = _eval_error(scores, eval_data.labels, config.task, config.epsilon)
                 err_text = repr(err)
             else:
                 err_text = ""
@@ -357,34 +342,16 @@ def cmd_eval(config: RunConfig) -> int:
         data = load_libsvm(config.data, task, n_override=model.input_dim)
         if data.m < 1:
             raise DataFormatError("evaluation file contains no examples")
-        error = _eval_error(model, data, config.epsilon)
+        scores = np.array([decide(model, x) for x in data.examples])
     else:
         task = config.task
         data = load_libsvm(config.data, task)
-        predictions = _read_predictions(config.pred)
-        if len(predictions) != data.m:
-            raise DataFormatError(
-                f"{len(predictions)} predictions for {data.m} labeled examples"
-            )
+        scores = np.array(_read_predictions(config.pred))
+        if scores.size != data.m:
+            raise DataFormatError(f"{scores.size} predictions for {data.m} labeled examples")
         if data.m < 1:
             raise DataFormatError("evaluation file contains no examples")
-        if task == "classification":
-            wrong = sum(
-                1
-                for value, y in zip(predictions, data.labels)
-                if (1 if value >= 0 else -1) != int(y)
-            )
-            error = wrong / data.m
-        else:
-            error = float(
-                np.mean(
-                    [
-                        max(abs(float(y) - v) - config.epsilon, 0.0)
-                        for v, y in zip(predictions, data.labels)
-                    ]
-                )
-            )
-    print(repr(float(error)))
+    print(repr(_eval_error(scores, data.labels, task, config.epsilon)))
     return EXIT_OK
 
 

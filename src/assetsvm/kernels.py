@@ -249,11 +249,6 @@ def build_nystrom(
     )
 
 
-def nystrom_row(nmap: NystromMap, x: SparseVector) -> np.ndarray:
-    """Feature row for an arbitrary point under a landmark map."""
-    return nmap.map_point(x)
-
-
 def build_fourier(
     input_dim: int,
     dim: int,
@@ -269,8 +264,3 @@ def build_fourier(
     frequencies = rng.normal(0.0, math.sqrt(2.0 * kernel.sigma), size=(dim, input_dim))
     offsets = rng.uniform(0.0, 2.0 * math.pi, size=dim)
     return FourierMap(kernel=kernel, frequencies=frequencies, offsets=offsets, input_dim=input_dim)
-
-
-def fourier_map(fmap: FourierMap, x: SparseVector) -> np.ndarray:
-    """Feature row for an arbitrary point under a cosine-feature map."""
-    return fmap.map_point(x)

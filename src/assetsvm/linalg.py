@@ -1,4 +1,4 @@
-"""Dense symmetric eigendecomposition and the projections the solver needs.
+"""Dense symmetric eigendecomposition in a canonical form.
 
 ``sym_eig`` delegates to LAPACK through ``numpy.linalg.eigh`` and returns
 the result in a canonical form, so that a model depends only on the
@@ -72,24 +72,3 @@ def sym_eig(matrix: np.ndarray) -> EigenDecomposition:
     lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(size)]
     vectors = vectors * np.where(lead < 0.0, -1.0, 1.0)
     return EigenDecomposition(np.ascontiguousarray(vectors), values)
-
-
-def project_ball(vector: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the origin-centered ball of given radius.
-
-    Returns the input array itself when it is already inside.
-    """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    vec = np.asarray(vector, dtype=np.float64)
-    nrm = float(np.linalg.norm(vec))
-    if nrm <= radius:
-        return vec
-    return vec * (radius / nrm)
-
-
-def clamp_interval(value: float, bound: float) -> float:
-    """Clamp a scalar into [-bound, bound] (bound >= 0)."""
-    if bound < 0.0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
-    return min(max(float(value), -bound), bound)

@@ -285,7 +285,13 @@ def load_model(source: str | IO[str]) -> Model:
                     f"support point {k + 1} exceeds the declared dimension {input_dim}"
                 )
             points.append(SparseVector(np.array(indices, dtype=np.int64), np.array(values)))
-        payload = NystromRecovery(alpha=alpha, support_points=tuple(points), sigma=sigma)
+        try:
+            payload = NystromRecovery(alpha=alpha, support_points=tuple(points), sigma=sigma)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from None
+        except MemoryError:
+            # the dense support block is as wide as the largest support index
+            raise ModelFormatError("the support points' dense block does not fit in memory") from None
 
     try:
         return Model(

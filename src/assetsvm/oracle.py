@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .kernels import FeatureMap, GaussianKernel, _kernel_block
 from .linalg import ConvergenceError, sym_eig
-from .solver import feasible_region
+from .solver import _mean_loss, feasible_region, loss_directions
 
 GRAM_LIMIT = 200
 
@@ -34,23 +34,6 @@ class ExactSolution:
 def gram_matrix(kernel: GaussianKernel, data: Dataset) -> np.ndarray:
     """Full m x m kernel matrix (symmetrized)."""
     return _kernel_block(kernel, data.examples, data.n)
-
-
-def _mean_loss(scores: np.ndarray, labels: np.ndarray, task: str, epsilon: float) -> float:
-    if task == "classification":
-        losses = np.maximum(1.0 - labels * scores, 0.0)
-    else:
-        losses = np.maximum(np.abs(labels - scores) - epsilon, 0.0)
-    return float(np.mean(losses))
-
-
-def _loss_directions(scores: np.ndarray, labels: np.ndarray, task: str, epsilon: float) -> np.ndarray:
-    if task == "classification":
-        return np.where(labels * scores < 1.0, -labels, 0.0)
-    out = np.zeros_like(scores)
-    out[labels > scores + epsilon] = -1.0
-    out[labels < scores - epsilon] = 1.0
-    return out
 
 
 def feature_objective(
@@ -167,7 +150,7 @@ def solve_exact(
                 run_best_pair = (gamma.copy(), b)
             if t == iterations and run_best < best_half_f:
                 best_half_f = run_best
-            d = _loss_directions(scores, labels, task, epsilon)
+            d = loss_directions(scores, labels, task, epsilon)
             eta = step_base / math.sqrt(t)
             gamma = gamma - eta * (lam * gamma + (features.T @ d) / m)
             nrm = float(np.linalg.norm(gamma))

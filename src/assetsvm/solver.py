@@ -29,6 +29,9 @@ from .kernels import FeatureMap
 from .rng import DG_STREAM, XI_STREAM, stream
 
 VARIANTS = ("averaged", "strongly_convex")
+# Example draws are taken from the XI stream this many at a time; the chunk
+# size leaves the drawn sequence unchanged and only caps the memory it holds.
+XI_CHUNK = 4096
 
 
 class TrivialRegressionError(ValueError):
@@ -94,18 +97,6 @@ class SolverParams:
             )
 
 
-@dataclass
-class SolverState:
-    """Mutable per-run state: current iterate plus the running average."""
-
-    j: int
-    gamma: np.ndarray
-    b: float
-    avg_gamma: np.ndarray
-    avg_b: float
-    eta_sum: float
-
-
 @dataclass(frozen=True)
 class GradientStats:
     """Root-mean-square bound estimate for the stochastic subgradient norm."""
@@ -161,60 +152,41 @@ def feasible_region(
     return FeasibleRegion(radius, bound, True)
 
 
-def steplength(j: int, variant: str, dx: float, dg: float, lam: float) -> float:
-    """Step size at iteration j >= 1 for the given schedule."""
-    if j < 1:
-        raise ValueError(f"iteration index must be >= 1, got {j}")
-    if variant == "strongly_convex":
-        return 1.0 / (lam * j)
-    return dx / (dg * math.sqrt(j))
+def loss_direction(score: float, label: float, task: str, epsilon: float) -> float:
+    """Derivative of one example's loss with respect to its score.
 
-
-def hinge_subgradient(
-    gamma: np.ndarray,
-    b: float,
-    row: np.ndarray,
-    label: float,
-    lam: float,
-) -> tuple[np.ndarray, float]:
-    """Per-example subgradient of the regularized hinge loss.
-
-    The loss direction is -label when the margin is strictly below one and
-    zero otherwise (zero is the chosen subgradient at the kink). The
-    intercept component is meaningful only when the model keeps a bias.
+    Hinge loss: -label while the margin label * score is strictly below one,
+    zero otherwise (zero is the chosen subgradient at the kink). Tube loss:
+    -1 or +1 while the label lies strictly above or below the tube
+    [score - epsilon, score + epsilon], zero inside it and on its boundary.
     """
-    margin = label * (float(np.dot(row, gamma)) + b)
-    d = -label if margin < 1.0 else 0.0
-    if d:
-        return lam * gamma + d * row, d
-    return lam * gamma, 0.0
-
-
-def eps_insensitive_subgradient(
-    gamma: np.ndarray,
-    b: float,
-    row: np.ndarray,
-    label: float,
-    lam: float,
-    epsilon: float,
-) -> tuple[np.ndarray, float]:
-    """Per-example subgradient of the regularized tube loss.
-
-    Residuals strictly outside the tube push toward the label; inside
-    (boundary included) the loss direction is zero.
-    """
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    score = float(np.dot(row, gamma)) + b
+    if task == "classification":
+        return -label if label * score < 1.0 else 0.0
     if label > score + epsilon:
-        d = -1.0
-    elif label < score - epsilon:
-        d = 1.0
+        return -1.0
+    if label < score - epsilon:
+        return 1.0
+    return 0.0
+
+
+def loss_directions(
+    scores: np.ndarray, labels: np.ndarray, task: str, epsilon: float
+) -> np.ndarray:
+    """:func:`loss_direction` for every example at once."""
+    if task == "classification":
+        return np.where(labels * scores < 1.0, -labels, 0.0)
+    out = np.zeros_like(scores)
+    out[labels > scores + epsilon] = -1.0
+    out[labels < scores - epsilon] = 1.0
+    return out
+
+
+def _mean_loss(scores: np.ndarray, labels: np.ndarray, task: str, epsilon: float) -> float:
+    if task == "classification":
+        losses = np.maximum(1.0 - labels * scores, 0.0)
     else:
-        d = 0.0
-    if d:
-        return lam * gamma + d * row, d
-    return lam * gamma, 0.0
+        losses = np.maximum(np.abs(labels - scores) - epsilon, 0.0)
+    return float(np.mean(losses))
 
 
 def running_average(avg, value, weight_sum: float, weight: float):
@@ -249,22 +221,11 @@ def estimate_dg(
         raise ValueError("dataset must contain at least one example")
     rng = stream(params.seed, DG_STREAM)
     labels = data.labels
-    classification = data.task == "classification"
-    eps = params.epsilon
     bias_term = 1.0 if region.include_bias else 0.0
     total = 0.0
     for u in rng.random(params.dg_sample):
         i = int(u * m)
-        y = float(labels[i])
-        if classification:
-            d = -y  # the margin at the zero iterate is 0 < 1
-        else:
-            if y > eps:
-                d = -1.0
-            elif y < -eps:
-                d = 1.0
-            else:
-                d = 0.0
+        d = loss_direction(0.0, float(labels[i]), data.task, params.epsilon)
         if d:
             row = feature_map.training_row(data, i)
             total += d * d * (float(np.dot(row, row)) + bias_term)
@@ -272,87 +233,6 @@ def estimate_dg(
     if dg_sq == 0.0:
         return GradientStats(math.sqrt(params.lam) * region.gamma_radius)
     return GradientStats(math.sqrt(dg_sq))
-
-
-def initial_state(dim: int) -> SolverState:
-    return SolverState(
-        j=0,
-        gamma=np.zeros(dim),
-        b=0.0,
-        avg_gamma=np.zeros(dim),
-        avg_b=0.0,
-        eta_sum=0.0,
-    )
-
-
-def asset_step(
-    state: SolverState,
-    feature_map: FeatureMap,
-    data: Dataset,
-    region: FeasibleRegion,
-    params: SolverParams,
-    stats: GradientStats | None,
-    rng: np.random.Generator,
-) -> SolverState:
-    """Advance the solver by one iteration (in place; also returned).
-
-    Draws an example index from ``rng`` (one unit-uniform draw mapped to
-    {0..m-1}), applies the projected subgradient step, and folds the new
-    iterate into the running average once ``avg_start`` is reached.
-    ``asset_train`` executes exactly this update in a flattened loop; the
-    two paths are kept bit-identical.
-    """
-    j = state.j + 1
-    if j > params.iterations:
-        raise ValueError("state already reached the iteration budget")
-    strongly = params.variant == "strongly_convex"
-    if strongly:
-        eta = 1.0 / (params.lam * j)
-    else:
-        eta = region.max_norm / (stats.dg * math.sqrt(j))
-
-    m = data.m
-    u = rng.random()
-    xi = int(u * m)
-    row = feature_map.training_row(data, xi)
-    y = float(data.labels[xi])
-    score = float(np.dot(row, state.gamma)) + state.b
-    if data.task == "classification":
-        d = -y if y * score < 1.0 else 0.0
-    else:
-        if y > score + params.epsilon:
-            d = -1.0
-        elif y < score - params.epsilon:
-            d = 1.0
-        else:
-            d = 0.0
-
-    scale = 1.0 - eta * params.lam
-    if d:
-        gamma = state.gamma * scale - (eta * d) * row
-    else:
-        gamma = state.gamma * scale
-    nrm_sq = float(np.dot(gamma, gamma))
-    radius = region.gamma_radius
-    if nrm_sq > radius * radius:
-        gamma *= radius / math.sqrt(nrm_sq)
-    b = state.b
-    if region.include_bias:
-        if d:
-            b = b - eta * d
-        bound = region.intercept_bound
-        if b > bound:
-            b = bound
-        elif b < -bound:
-            b = -bound
-
-    state.j = j
-    state.gamma = gamma
-    state.b = b
-    if not strongly and j >= params.avg_start:
-        state.avg_gamma, _ = running_average(state.avg_gamma, gamma, state.eta_sum, eta)
-        state.avg_b, state.eta_sum = running_average(state.avg_b, b, state.eta_sum, eta)
-    return state
 
 
 def asset_train(
@@ -383,7 +263,7 @@ def asset_train(
 
     m = data.m
     labels = data.labels.tolist()
-    classification = data.task == "classification"
+    task = data.task
     eps = params.epsilon
     lam = params.lam
     radius = region.gamma_radius
@@ -405,55 +285,47 @@ def asset_train(
     avg_b = 0.0
     eta_sum = 0.0
 
-    draws = stream(params.seed, XI_STREAM).random(total).tolist()
+    xi_rng = stream(params.seed, XI_STREAM)
     emitting = checkpoint_every is not None and on_checkpoint is not None
     next_check = min(checkpoint_every, total) if emitting else total + 1
 
-    for j in range(1, total + 1):
-        if strongly:
-            eta = 1.0 / (lam * j)
-        else:
-            eta = dx / (dg * sqrt(j))
-        xi = int(draws[j - 1] * m)
-        row = rows[xi]
-        if row is None:
-            row = fetch(data, xi)
-            rows[xi] = row
-        y = labels[xi]
-        score = float(dot(row, gamma)) + b
-        if classification:
-            d = -y if y * score < 1.0 else 0.0
-        else:
-            if y > score + eps:
-                d = -1.0
-            elif y < score - eps:
-                d = 1.0
+    for first in range(1, total + 1, XI_CHUNK):
+        draws = xi_rng.random(min(XI_CHUNK, total + 1 - first)).tolist()
+        for j, u in enumerate(draws, first):
+            if strongly:
+                eta = 1.0 / (lam * j)
             else:
-                d = 0.0
-        scale = 1.0 - eta * lam
-        if d:
-            gamma = gamma * scale - (eta * d) * row
-        else:
-            gamma = gamma * scale
-        nrm_sq = float(dot(gamma, gamma))
-        if nrm_sq > radius_sq:
-            gamma *= radius / sqrt(nrm_sq)
-        if include_bias:
+                eta = dx / (dg * sqrt(j))
+            xi = int(u * m)
+            row = rows[xi]
+            if row is None:
+                row = fetch(data, xi)
+                rows[xi] = row
+            d = loss_direction(float(dot(row, gamma)) + b, labels[xi], task, eps)
+            scale = 1.0 - eta * lam
             if d:
-                b = b - eta * d
-            if b > bound:
-                b = bound
-            elif b < -bound:
-                b = -bound
-        if not strongly and j >= avg_start:
-            avg_gamma, _ = running_average(avg_gamma, gamma, eta_sum, eta)
-            avg_b, eta_sum = running_average(avg_b, b, eta_sum, eta)
-        if j == next_check:
-            if strongly or j < avg_start:
-                on_checkpoint(j, gamma.copy(), float(b))
+                gamma = gamma * scale - (eta * d) * row
             else:
-                on_checkpoint(j, avg_gamma.copy(), float(avg_b))
-            next_check = min(j + checkpoint_every, total) if j < total else total + 1
+                gamma = gamma * scale
+            nrm_sq = float(dot(gamma, gamma))
+            if nrm_sq > radius_sq:
+                gamma *= radius / sqrt(nrm_sq)
+            if include_bias:
+                if d:
+                    b = b - eta * d
+                if b > bound:
+                    b = bound
+                elif b < -bound:
+                    b = -bound
+            if not strongly and j >= avg_start:
+                avg_gamma, _ = running_average(avg_gamma, gamma, eta_sum, eta)
+                avg_b, eta_sum = running_average(avg_b, b, eta_sum, eta)
+            if j == next_check:
+                if strongly or j < avg_start:
+                    on_checkpoint(j, gamma.copy(), float(b))
+                else:
+                    on_checkpoint(j, avg_gamma.copy(), float(avg_b))
+                next_check = min(j + checkpoint_every, total) if j < total else total + 1
 
     if strongly:
         return gamma, 0.0

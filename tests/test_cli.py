@@ -209,6 +209,30 @@ class TestPredict:
         assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_oversized_support_index_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(
+            "ASSET-MODEL v1\ntask classification\napprox nystrom\nsigma 1.0\n"
+            "lambda 0.001\nbias 0.0\nn 1000000000000000\nd 1\ns 1\n"
+            "gamma 1.0\nalpha 1.0\nsupport 1000000000000:1.0\n"
+        )
+        data = tmp_path / "one.svm"
+        data.write_text("+1 1:0.5\n")
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_nonfinite_expansion_coefficient_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(
+            "ASSET-MODEL v1\ntask classification\napprox nystrom\nsigma 1.0\n"
+            "lambda 0.001\nbias 0.0\nn 2\nd 1\ns 1\n"
+            "gamma 1.0\nalpha nan\nsupport 1:1.0\n"
+        )
+        data = tmp_path / "one.svm"
+        data.write_text("+1 1:0.5\n")
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_stdout_output(self, moons_files, tmp_path, capsys):
         train, _ = moons_files
         model = str(tmp_path / "model.txt")
@@ -255,6 +279,35 @@ class TestEval:
         )
         assert code == 0
         assert float(capsys.readouterr().out.strip()) == 0.0
+
+    @pytest.mark.parametrize("task", ["class", "regress"])
+    def test_model_pred_and_metrics_errors_agree(self, task, tmp_path, capsys):
+        # the last metrics row scores the returned model on --eval-data, so
+        # all three error computations see the same decision values
+        if task == "class":
+            train_set, eval_set = two_moons(300, seed=2), two_moons(200, seed=3)
+            flags = ["--sigma", "2.0"]
+        else:
+            train_set, eval_set = sinusoid_dataset(300, seed=2), sinusoid_dataset(200, seed=3)
+            flags = ["--sigma", "20.0", "--epsilon", "0.05"]
+        train = write_libsvm(tmp_path / "train.svm", train_set)
+        data = write_libsvm(tmp_path / "eval.svm", eval_set)
+        model, preds, metrics = (str(tmp_path / f) for f in ("model.txt", "preds.txt", "m.csv"))
+        code = main(
+            ["train", "--task", task, "--approx", "fourier", "--d", "32", "--lambda", "0.001",
+             "--epochs", "3", "--checks-per-epoch", "1", "--data", train, "--model", model,
+             "--eval-data", data, "--metrics", metrics, *flags]
+        )
+        assert code == 0
+        assert main(["predict", "--model", model, "--data", data, "--out", preds]) == 0
+        eps = flags[-2:] if task == "regress" else []
+        assert main(["eval", "--model", model, "--data", data, *eps]) == 0
+        assert main(["eval", "--pred", preds, "--data", data, "--task", task, *eps]) == 0
+        from_model, from_pred = capsys.readouterr().out.split()
+        with open(metrics) as handle:
+            from_metrics = handle.read().splitlines()[-1].split(",")[-1]
+        assert from_model == from_pred == from_metrics
+        assert float(from_model) > 0.0
 
     def test_count_mismatch_is_data_error(self, tmp_path):
         data = str(tmp_path / "data.svm")

@@ -10,10 +10,8 @@ from assetsvm import (
     build_fourier,
     build_nystrom,
     eval_counts,
-    fourier_map,
     gram_matrix,
     kernel_eval,
-    nystrom_row,
     reset_eval_counts,
     sym_eig,
 )
@@ -101,7 +99,7 @@ class TestFourierMap:
         )
         rng = np.random.default_rng(4)
         for _ in range(10):
-            row = fourier_map(fmap, dense_vector(rng.normal(size=2)))
+            row = fmap.map_point(dense_vector(rng.normal(size=2)))
             assert row.tolist() == [math.sqrt(2.0)]
 
     def test_row_norm_bounded(self):
@@ -156,7 +154,7 @@ class TestBuildNystrom:
         ds = planted_dataset(30, 5, seed=2)
         k = GaussianKernel(1.0)
         nmap = build_nystrom(ds, k, ds.m, ds.m, seed=0)
-        rows = np.stack([nystrom_row(nmap, ex) for ex in ds.examples])
+        rows = np.stack([nmap.map_point(ex) for ex in ds.examples])
         gram = gram_matrix(k, ds)
         err = np.linalg.norm(rows @ rows.T - gram) / np.linalg.norm(gram)
         assert err <= 1e-8
@@ -213,7 +211,7 @@ class TestNystromRow:
                 for p in nmap.sample_points
             ]
         )
-        rows = np.stack([nystrom_row(nmap, p) for p in nmap.sample_points])
+        rows = np.stack([nmap.map_point(p) for p in nmap.sample_points])
         assert np.linalg.norm(rows @ rows.T - block) <= 1e-8 * max(1.0, np.linalg.norm(block))
 
     def test_well_separated_points_give_basis_vectors(self):
@@ -222,7 +220,7 @@ class TestNystromRow:
         ds = matrix_dataset(X, np.array([1.0, -1.0, 1.0]), "classification")
         nmap = build_nystrom(ds, GaussianKernel(1.0), 3, 3, seed=0)
         for i, p in enumerate(nmap.sample_points):
-            row = nystrom_row(nmap, p)
+            row = nmap.map_point(p)
             target = np.zeros(3)
             target[np.argmax(np.abs(row))] = math.copysign(1.0, row[np.argmax(np.abs(row))])
             np.testing.assert_allclose(row, target, atol=1e-6)
@@ -232,7 +230,7 @@ class TestNystromRow:
         nmap = build_nystrom(ds, GaussianKernel(1.0), 8, 5, seed=1)
         rng = np.random.default_rng(9)
         for _ in range(10):
-            row = nystrom_row(nmap, dense_vector(rng.normal(size=3)))
+            row = nmap.map_point(dense_vector(rng.normal(size=3)))
             assert row.shape == (nmap.dim,)
             assert np.all(np.isfinite(row))
 
@@ -241,7 +239,7 @@ class TestNystromRow:
         k = GaussianKernel(1.0)
         target_dim = 6
         nmap = build_nystrom(ds, k, 12, target_dim, seed=4)
-        rows = np.stack([nystrom_row(nmap, p) for p in nmap.sample_points])
+        rows = np.stack([nmap.map_point(p) for p in nmap.sample_points])
         block = np.stack(
             [
                 [kernel_eval(k, p, q) for q in nmap.sample_points]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from assetsvm import ConvergenceError, clamp_interval, project_ball, sym_eig
+from assetsvm import ConvergenceError, sym_eig
 
 
 def random_symmetric(n, rng):
@@ -79,65 +79,3 @@ class TestSymEig:
             columns = np.arange(7)
             lead = eig.vectors[np.argmax(np.abs(eig.vectors), axis=0), columns]
             assert np.all(lead > 0.0)
-
-
-class TestProjectBall:
-    def test_interior_point_unchanged(self):
-        np.testing.assert_array_equal(project_ball(np.array([1.0, 0.0]), 2.0), [1.0, 0.0])
-
-    def test_exterior_point_scaled(self):
-        np.testing.assert_allclose(project_ball(np.array([3.0, 4.0]), 1.0), [0.6, 0.8])
-
-    def test_zero_vector(self):
-        np.testing.assert_array_equal(project_ball(np.zeros(3), 0.5), np.zeros(3))
-
-    def test_nonpositive_radius_rejected(self):
-        with pytest.raises(ValueError):
-            project_ball(np.ones(2), 0.0)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            v = rng.normal(size=4) * rng.uniform(0.1, 5.0)
-            once = project_ball(v, 1.3)
-            twice = project_ball(once, 1.3)
-            np.testing.assert_allclose(twice, once, rtol=0, atol=1e-15)
-
-    def test_nonexpansive(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            u = rng.normal(size=5) * rng.uniform(0.1, 4.0)
-            v = rng.normal(size=5) * rng.uniform(0.1, 4.0)
-            pu = project_ball(u, 1.0)
-            pv = project_ball(v, 1.0)
-            assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
-
-
-class TestClampInterval:
-    def test_inside(self):
-        assert clamp_interval(0.5, 1.0) == 0.5
-
-    def test_below(self):
-        assert clamp_interval(-7.0, 2.0) == -2.0
-
-    def test_degenerate_interval(self):
-        assert clamp_interval(123.0, 0.0) == 0.0
-        assert clamp_interval(-5.0, 0.0) == 0.0
-
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            clamp_interval(1.0, -1.0)
-
-    def test_product_projection_decomposes(self):
-        # projecting the stacked (vector, scalar) pair onto ball x interval
-        # equals projecting each factor independently
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            g = rng.normal(size=3) * rng.uniform(0.1, 4.0)
-            b = rng.normal() * 3.0
-            pg = project_ball(g, 1.5)
-            pb = clamp_interval(b, 0.75)
-            assert np.linalg.norm(pg) <= 1.5 + 1e-12
-            assert abs(pb) <= 0.75
-            # independence: perturbing b does not change the g projection
-            np.testing.assert_array_equal(project_ball(g, 1.5), pg)

@@ -5,23 +5,19 @@ import pytest
 
 from assetsvm import (
     GaussianKernel,
-    GradientStats,
     SolverParams,
     TrivialRegressionError,
-    asset_step,
     asset_train,
     build_nystrom,
-    eps_insensitive_subgradient,
     estimate_dg,
     feasible_region,
     feature_objective,
-    hinge_subgradient,
-    initial_state,
     running_average,
     solve_exact,
-    steplength,
 )
+from assetsvm import solver
 from assetsvm.rng import DG_STREAM, XI_STREAM, stream
+from assetsvm.solver import loss_direction, loss_directions
 from helpers import matrix_dataset, planted_dataset
 
 
@@ -52,62 +48,41 @@ class TestFeasibleRegion:
         assert wide.intercept_bound == 30.0
 
 
-class TestSteplength:
-    def test_averaged_first_step(self):
-        assert steplength(1, "averaged", 3.0, 1.5, 0.1) == 2.0
+class TestLossDirection:
+    @pytest.mark.parametrize(
+        "task, score, label, epsilon, expected",
+        [
+            pytest.param("classification", 1.5, 1.0, 0.0, 0.0, id="hinge-satisfied-margin"),
+            pytest.param("classification", 0.0, 1.0, 0.0, -1.0, id="hinge-zero-iterate-positive"),
+            pytest.param("classification", 0.0, -1.0, 0.0, 1.0, id="hinge-zero-iterate-negative"),
+            # margin exactly one: the chosen subgradient at the kink is zero
+            pytest.param("classification", 1.0, 1.0, 0.0, 0.0, id="hinge-kink"),
+            pytest.param("regression", 0.0, 0.5, 1.0, 0.0, id="tube-inside"),
+            pytest.param("regression", 0.0, 2.0, 0.1, -1.0, id="tube-label-above"),
+            pytest.param("regression", 0.0, -2.0, 0.1, 1.0, id="tube-label-below"),
+            pytest.param("regression", 0.0, 0.1, 0.1, 0.0, id="tube-boundary-inactive"),
+        ],
+    )
+    def test_scalar_and_vectorized_forms(self, task, score, label, epsilon, expected):
+        assert loss_direction(score, label, task, epsilon) == expected
+        batch = loss_directions(np.array([score]), np.array([label]), task, epsilon)
+        assert batch.tolist() == [expected]
 
-    def test_averaged_fourth_step_halves(self):
-        assert steplength(4, "averaged", 3.0, 1.5, 0.1) == 1.0
-
-    def test_strongly_convex(self):
-        assert steplength(10, "strongly_convex", 3.0, 1.5, 0.5) == pytest.approx(0.2)
-
-    def test_index_must_be_positive(self):
-        with pytest.raises(ValueError):
-            steplength(0, "averaged", 1.0, 1.0, 1.0)
-
-
-class TestHingeSubgradient:
-    def test_satisfied_margin_gives_regularizer_only(self):
-        gamma = np.array([0.5, -0.5])
-        row = np.array([2.0, 0.0])
-        g, d = hinge_subgradient(gamma, 0.5, row, 1.0, 0.1)
-        assert d == 0.0
-        np.testing.assert_array_equal(g, 0.1 * gamma)
-
-    def test_zero_iterate_positive_label(self):
-        g, d = hinge_subgradient(np.zeros(2), 0.0, np.array([1.0, 2.0]), 1.0, 0.1)
-        assert d == -1.0
-        np.testing.assert_array_equal(g, -np.array([1.0, 2.0]))
-
-    def test_zero_iterate_negative_label(self):
-        _, d = hinge_subgradient(np.zeros(2), 0.0, np.array([1.0, 2.0]), -1.0, 0.1)
-        assert d == 1.0
-
-    def test_kink_takes_zero_direction(self):
-        # margin exactly one: the chosen subgradient at the kink is zero
-        row = np.array([1.0])
-        g, d = hinge_subgradient(np.array([1.0]), 0.0, row, 1.0, 0.5)
-        assert d == 0.0
-        np.testing.assert_array_equal(g, np.array([0.5]))
-
-
-class TestEpsInsensitiveSubgradient:
-    def test_inside_tube(self):
-        _, d = eps_insensitive_subgradient(np.zeros(1), 0.0, np.ones(1), 0.5, 0.1, 1.0)
-        assert d == 0.0
-
-    def test_label_above_tube(self):
-        _, d = eps_insensitive_subgradient(np.zeros(1), 0.0, np.ones(1), 2.0, 0.1, 0.1)
-        assert d == -1.0
-
-    def test_label_below_tube(self):
-        _, d = eps_insensitive_subgradient(np.zeros(1), 0.0, np.ones(1), -2.0, 0.1, 0.1)
-        assert d == 1.0
-
-    def test_tube_boundary_is_inactive(self):
-        _, d = eps_insensitive_subgradient(np.zeros(1), 0.0, np.ones(1), 0.1, 0.1, 0.1)
-        assert d == 0.0
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_forms_agree_on_random_batches(self, task):
+        rng = np.random.default_rng(19)
+        epsilon = 0.0 if task == "classification" else 0.25
+        for _ in range(20):
+            scores = rng.normal(size=50)
+            if task == "classification":
+                labels = rng.choice([-1.0, 1.0], size=50)
+                scores[:5] = labels[:5]  # margins exactly one
+            else:
+                labels = rng.normal(size=50)
+                scores[:5] = labels[:5] - epsilon  # labels on the tube boundary
+            batch = loss_directions(scores, labels, task, epsilon)
+            scalar = [loss_direction(float(s), float(y), task, epsilon) for s, y in zip(scores, labels)]
+            assert batch.tolist() == scalar
 
 
 def exact_map(data, sigma=1.0, seed=0):
@@ -151,32 +126,60 @@ class TestEstimateDg:
 
 
 class TestAssetStep:
+    """Single solver steps, observed through asset_train's checkpoints."""
+
     def test_zero_subgradient_interior_fixed_point(self):
-        ds = matrix_dataset(np.array([[1.0]]), np.array([1.0]), "classification")
+        # every label lies inside the tube around the zero model, so each
+        # step's loss direction is zero and the iterate stays exactly at 0
+        labels = np.array([0.1, -0.2, 0.05])
+        ds = matrix_dataset(np.eye(3), labels, "regression")
         nmap = exact_map(ds)
-        region = feasible_region("classification", 1.0, ds.labels, intercept_bound=2.0)
-        params = SolverParams(lam=1.0, iterations=5, avg_start=5, seed=0)
-        stats = GradientStats(1.0)
-        state = initial_state(nmap.dim)
-        state.b = 1.0  # margin y*(0 + 1) = 1, not < 1: loss direction is zero
-        gamma_before = state.gamma.copy()
-        rng = stream(0, XI_STREAM)
-        asset_step(state, nmap, ds, region, params, stats, rng)
-        np.testing.assert_array_equal(state.gamma, gamma_before)
-        assert state.b == 1.0
+        region = feasible_region("regression", 1.0, labels)
+        params = SolverParams(lam=1.0, iterations=50, avg_start=25, epsilon=0.3, seed=0)
+        seen = []
+        gamma, b = asset_train(
+            nmap, ds, params, region,
+            checkpoint_every=1, on_checkpoint=lambda j, g, c: seen.append((g, c)),
+        )
+        assert len(seen) == params.iterations
+        for g, c in seen + [(gamma, b)]:
+            assert not np.any(g)
+            assert c == 0.0
 
     def test_first_averaged_iterate_equals_iterate(self):
         ds = planted_dataset(10, 3, seed=3)
         nmap = exact_map(ds)
         region = feasible_region("classification", 0.2, ds.labels)
-        params = SolverParams(lam=0.2, iterations=3, avg_start=1, seed=4)
-        stats = estimate_dg(nmap, ds, params, region)
-        state = initial_state(nmap.dim)
-        rng = stream(4, XI_STREAM)
-        asset_step(state, nmap, ds, region, params, stats, rng)
-        np.testing.assert_array_equal(state.avg_gamma, state.gamma)
-        assert state.avg_b == state.b
-        assert state.eta_sum > 0.0
+        averaged = SolverParams(lam=0.2, iterations=1, avg_start=1, seed=4)
+        avg_gamma, avg_b = asset_train(nmap, ds, averaged, region)
+        # the same stream with averaging deferred reports the raw first iterate
+        deferred = SolverParams(lam=0.2, iterations=2, avg_start=2, seed=4)
+        seen = {}
+        asset_train(
+            nmap, ds, deferred, region,
+            checkpoint_every=1, on_checkpoint=lambda j, g, c: seen.setdefault(j, (g, c)),
+        )
+        gamma_1, b_1 = seen[1]
+        np.testing.assert_array_equal(avg_gamma, gamma_1)
+        assert avg_b == b_1
+        assert b_1 != 0.0
+
+    def test_first_step_length_is_dx_over_dg(self):
+        # from the zero iterate every hinge direction is -y, so the first
+        # intercept is y * eta_1 with eta_1 = max_norm / dg
+        ds = planted_dataset(10, 3, seed=3)
+        nmap = exact_map(ds)
+        region = feasible_region("classification", 0.2, ds.labels)
+        params = SolverParams(lam=0.2, iterations=2, avg_start=2, seed=4)
+        seen = {}
+        asset_train(
+            nmap, ds, params, region,
+            checkpoint_every=1, on_checkpoint=lambda j, g, c: seen.setdefault(j, c),
+        )
+        eta = region.max_norm / estimate_dg(nmap, ds, params, region).dg
+        assert eta < region.intercept_bound
+        xi = int(stream(4, XI_STREAM).random() * ds.m)
+        assert seen[1] == ds.labels[xi] * eta
 
     def test_weight_algebra(self):
         avg, total = running_average(0.0, 0.0, 0.0, 1.0)
@@ -189,49 +192,74 @@ class TestAssetStep:
         ds = planted_dataset(20, 4, seed=5)
         nmap = exact_map(ds)
         region = feasible_region("classification", 0.05, ds.labels, intercept_bound=0.5)
-        params = SolverParams(lam=0.05, iterations=400, avg_start=200, seed=6)
-        stats = estimate_dg(nmap, ds, params, region)
-        state = initial_state(nmap.dim)
-        rng = stream(6, XI_STREAM)
-        for _ in range(params.iterations):
-            asset_step(state, nmap, ds, region, params, stats, rng)
-            assert float(np.linalg.norm(state.gamma)) <= region.gamma_radius * (1 + 1e-12)
-            assert abs(state.b) <= region.intercept_bound
-        # the average is a convex combination of feasible points
-        assert float(np.linalg.norm(state.avg_gamma)) <= region.gamma_radius * (1 + 1e-12)
-        assert abs(state.avg_b) <= region.intercept_bound
+        # averaging from the last step shows every iterate; from step 200 the
+        # checkpoints show the averages, convex combinations of feasible points
+        for avg_start in (400, 200):
+            params = SolverParams(lam=0.05, iterations=400, avg_start=avg_start, seed=6)
+            seen = []
+            asset_train(
+                nmap, ds, params, region,
+                checkpoint_every=1, on_checkpoint=lambda j, g, c: seen.append((g, c)),
+            )
+            assert len(seen) == params.iterations
+            for gamma, b in seen:
+                assert float(np.linalg.norm(gamma)) <= region.gamma_radius * (1 + 1e-12)
+                assert abs(b) <= region.intercept_bound
+            assert any(abs(b) == region.intercept_bound for _, b in seen)
 
 
 class TestAssetTrain:
-    def test_matches_repeated_steps_bitwise(self):
+    @pytest.mark.parametrize("variant", ["averaged", "strongly_convex"])
+    def test_draw_chunk_size_leaves_result_unchanged(self, variant, monkeypatch):
         ds = planted_dataset(15, 3, seed=7)
         nmap = exact_map(ds)
-        region = feasible_region("classification", 0.1, ds.labels)
-        params = SolverParams(lam=0.1, iterations=1500, avg_start=700, seed=8)
-        gamma_fast, b_fast = asset_train(nmap, ds, params, region)
+        strongly = variant == "strongly_convex"
+        region = feasible_region("classification", 0.1, ds.labels, include_bias=not strongly)
+        params = SolverParams(lam=0.1, iterations=1500, avg_start=700, variant=variant, seed=8)
 
-        stats = estimate_dg(nmap, ds, params, region)
-        state = initial_state(nmap.dim)
-        rng = stream(8, XI_STREAM)
-        for _ in range(params.iterations):
-            asset_step(state, nmap, ds, region, params, stats, rng)
-        np.testing.assert_array_equal(gamma_fast, state.avg_gamma)
-        assert b_fast == state.avg_b
+        def run():
+            seen = []
+            result = asset_train(
+                nmap, ds, params, region,
+                checkpoint_every=11, on_checkpoint=lambda j, g, c: seen.append((j, g, c)),
+            )
+            return result, seen
+
+        (gamma, b), seen = run()
+        monkeypatch.setattr(solver, "XI_CHUNK", 7)
+        (gamma_7, b_7), seen_7 = run()
+        np.testing.assert_array_equal(gamma_7, gamma)
+        assert b_7 == b
+        assert [j for j, _, _ in seen_7] == [j for j, _, _ in seen]
+        for (_, g, c), (_, g_7, c_7) in zip(seen, seen_7):
+            np.testing.assert_array_equal(g_7, g)
+            assert c_7 == c
 
     def test_strong_variant_matches_repeated_steps(self):
         ds = planted_dataset(15, 3, seed=9)
         nmap = exact_map(ds)
-        region = feasible_region("classification", 0.1, ds.labels, include_bias=False)
+        lam = 0.1
+        region = feasible_region("classification", lam, ds.labels, include_bias=False)
         params = SolverParams(
-            lam=0.1, iterations=900, avg_start=1, variant="strongly_convex", seed=10
+            lam=lam, iterations=900, avg_start=1, variant="strongly_convex", seed=10
         )
         gamma_fast, b_fast = asset_train(nmap, ds, params, region)
         assert b_fast == 0.0
-        state = initial_state(nmap.dim)
-        rng = stream(10, XI_STREAM)
-        for _ in range(params.iterations):
-            asset_step(state, nmap, ds, region, params, None, rng)
-        np.testing.assert_array_equal(gamma_fast, state.gamma)
+        # replay the strongly convex steps by hand: eta_j = 1/(lam*j), no
+        # intercept, projection onto the ball, the last iterate reported
+        radius = region.gamma_radius
+        gamma = np.zeros(nmap.dim)
+        for j, u in enumerate(stream(10, XI_STREAM).random(params.iterations), start=1):
+            eta = 1.0 / (lam * j)
+            i = int(u * ds.m)
+            row = nmap.training_row(ds, i)
+            y = float(ds.labels[i])
+            d = -y if y * float(np.dot(row, gamma)) < 1.0 else 0.0
+            gamma = gamma * (1.0 - eta * lam) - (eta * d) * row
+            nrm_sq = float(np.dot(gamma, gamma))
+            if nrm_sq > radius * radius:
+                gamma *= radius / math.sqrt(nrm_sq)
+        np.testing.assert_array_equal(gamma_fast, gamma)
 
     def test_deterministic_given_seed(self):
         ds = planted_dataset(20, 3, seed=11)
@@ -298,20 +326,10 @@ class TestAssetTrain:
 
 
 class TestSubgradientValidity:
-    def full_objective_and_subgradient(self, ds, nmap, lam, epsilon, gamma, b):
-        rows = [nmap.training_row(ds, i) for i in range(ds.m)]
-        g_sum = np.zeros_like(gamma)
-        d_sum = 0.0
-        for row, y in zip(rows, ds.labels):
-            if ds.task == "classification":
-                g, d = hinge_subgradient(gamma, b, row, float(y), lam)
-            else:
-                g, d = eps_insensitive_subgradient(gamma, b, row, float(y), lam, epsilon)
-            g_sum += g
-            d_sum += d
-        # per-example parts already carry the lam*gamma term; average keeps it
-        return g_sum / ds.m, d_sum / ds.m
-
+    @staticmethod
+    def full_subgradient(rows, labels, task, lam, epsilon, gamma, b):
+        d = loss_directions(rows @ gamma + b, labels, task, epsilon)
+        return lam * gamma + rows.T @ d / len(labels), float(np.mean(d))
     @pytest.mark.parametrize("task", ["classification", "regression"])
     def test_lower_bound_inequality(self, task):
         rng = np.random.default_rng(16)
@@ -323,6 +341,7 @@ class TestSubgradientValidity:
             ds = matrix_dataset(X, rng.normal(size=20), "regression")
             epsilon = 0.1
         nmap = exact_map(ds)
+        rows = np.stack([nmap.training_row(ds, i) for i in range(ds.m)])
         lam = 0.3
         for _ in range(1000):
             gamma = rng.normal(size=nmap.dim) * 0.7
@@ -331,7 +350,7 @@ class TestSubgradientValidity:
             b2 = rng.normal()
             f1 = feature_objective(gamma, b, nmap, ds, lam, epsilon)
             f2 = feature_objective(gamma2, b2, nmap, ds, lam, epsilon)
-            g_gamma, g_b = self.full_objective_and_subgradient(ds, nmap, lam, epsilon, gamma, b)
+            g_gamma, g_b = self.full_subgradient(rows, ds.labels, ds.task, lam, epsilon, gamma, b)
             lower = f1 + float(g_gamma @ (gamma2 - gamma)) + g_b * (b2 - b)
             assert f2 >= lower - 1e-9
 
