@@ -245,6 +245,8 @@ def cmd_train(config: RunConfig) -> int:
         metrics_handle = open(config.metrics, "w", encoding="utf-8", newline="")
         metrics_handle.write("iteration,seconds,objective,eval_error\n")
         checkpoint_every = max(1, round(data.m / config.checks_per_epoch))
+        if eval_data is not None:
+            eval_rows = [feature_map.map_point(x) for x in eval_data.examples]
         start = time.perf_counter()
 
         def on_checkpoint(j: int, gamma: np.ndarray, b: float) -> None:
@@ -253,8 +255,7 @@ def cmd_train(config: RunConfig) -> int:
                 gamma, b, feature_map, data, config.lam, config.epsilon
             )
             if eval_data is not None:
-                rows = (feature_map.map_point(x) for x in eval_data.examples)
-                scores = np.array([float(np.dot(r, gamma)) + b for r in rows])
+                scores = np.array([float(np.dot(r, gamma)) + b for r in eval_rows])
                 err = _eval_error(scores, eval_data.labels, config.task, config.epsilon)
                 err_text = repr(err)
             else:

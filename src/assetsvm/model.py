@@ -45,10 +45,12 @@ class NystromRecovery:
     alpha: np.ndarray
     support_points: tuple[SparseVector, ...]
     sigma: float
+    _kernel: GaussianKernel = field(init=False, repr=False)
     _dense: np.ndarray = field(init=False, repr=False)
     _norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_kernel", GaussianKernel(self.sigma))
         alpha = np.asarray(self.alpha, dtype=np.float64)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "support_points", tuple(self.support_points))
@@ -125,8 +127,7 @@ def decide(model: Model, x: SparseVector) -> float:
     if model.approx == "fourier":
         return float(np.dot(model.payload.map_point(x), model.gamma)) + model.b
     payload = model.payload
-    kernel = GaussianKernel(payload.sigma)
-    kvec = _kernel_row(kernel, payload._dense, payload._norms, x)
+    kvec = _kernel_row(payload._kernel, payload._dense, payload._norms, x)
     return float(np.dot(kvec, payload.alpha)) + model.b
 
 
@@ -234,6 +235,10 @@ def load_model(source: str | IO[str]) -> Model:
         raise ModelFormatError("non-numeric header field") from None
     if dim < 1 or input_dim < 0:
         raise ModelFormatError("dimensions must be positive")
+    try:
+        kernel = GaussianKernel(sigma)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
 
     if approx == "fourier":
         gamma = _parse_floats(reader.next("gamma"), dim, "gamma")
@@ -251,7 +256,7 @@ def load_model(source: str | IO[str]) -> Model:
         for k in range(1, dim):
             freqs[k] = _parse_floats(reader.next("freq"), input_dim, f"freq row {k + 1}")
         payload: FourierMap | NystromRecovery = FourierMap(
-            kernel=GaussianKernel(sigma), frequencies=freqs, offsets=offsets, input_dim=input_dim
+            kernel=kernel, frequencies=freqs, offsets=offsets, input_dim=input_dim
         )
     else:
         try:

@@ -46,8 +46,7 @@ def feature_objective(
 ) -> float:
     """Regularized mean loss of (gamma, b) over the mapped training set."""
     gamma = np.asarray(gamma, dtype=np.float64)
-    rows = np.stack([feature_map.training_row(data, i) for i in range(data.m)])
-    scores = rows @ gamma + b
+    scores = feature_map.training_matrix(data) @ gamma + b
     quad = 0.5 * lam * float(np.dot(gamma, gamma))
     return quad + _mean_loss(scores, data.labels, data.task, epsilon)
 

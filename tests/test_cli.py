@@ -197,6 +197,27 @@ class TestPredict:
         assert main(["predict", "--model", model, "--data", test, "--out", out]) == 0
         assert eval_counts() == {"kernel": 300 * 16, "cosine": 0}
 
+    @pytest.mark.parametrize(
+        "approx, size, evals",
+        [
+            ("nystrom", ["--s", "16"], {"kernel": 16 * 16 + (500 + 300) * 16, "cosine": 0}),
+            ("fourier", ["--d", "32"], {"kernel": 0, "cosine": (500 + 300) * 32}),
+        ],
+        ids=["nystrom", "fourier"],
+    )
+    def test_training_maps_each_row_once(self, approx, size, evals, moons_files, tmp_path):
+        # the landmark block, then every training and eval row once; the
+        # ten metrics checkpoints add nothing
+        train, test = moons_files
+        args = [
+            "train", "--task", "class", "--approx", approx, *size, "--sigma", "2.0",
+            "--epochs", "1", "--data", train, "--model", str(tmp_path / "model.txt"),
+            "--eval-data", test, "--metrics", str(tmp_path / "metrics.csv"),
+        ]
+        reset_eval_counts()
+        assert main(args) == 0
+        assert eval_counts() == evals
+
     def test_oversized_frequency_header_is_data_error(self, tmp_path, capsys):
         model = tmp_path / "model.txt"
         model.write_text(
@@ -232,6 +253,28 @@ class TestPredict:
         data.write_text("+1 1:0.5\n")
         assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "approx, sigma, body",
+        [
+            ("fourier", "-1.0", "d 1\ngamma 0.5\noffsets 0.25\nfreq 1.0 0.0\n"),
+            ("nystrom", "nan", "d 1\ns 1\ngamma 1.0\nalpha 1.0\nsupport 1:1.0\n"),
+        ],
+        ids=["fourier", "nystrom"],
+    )
+    def test_bad_sigma_is_data_error(self, approx, sigma, body, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(
+            f"ASSET-MODEL v1\ntask classification\napprox {approx}\nsigma {sigma}\n"
+            f"lambda 0.001\nbias 0.0\nn 2\n{body}"
+        )
+        data = tmp_path / "one.svm"
+        data.write_text("+1 1:0.5\n")
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert "sigma" in err
+        assert "Traceback" not in err
 
     def test_stdout_output(self, moons_files, tmp_path, capsys):
         train, _ = moons_files

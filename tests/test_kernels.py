@@ -10,6 +10,7 @@ from assetsvm import (
     build_fourier,
     build_nystrom,
     eval_counts,
+    feature_objective,
     gram_matrix,
     kernel_eval,
     reset_eval_counts,
@@ -260,6 +261,7 @@ class TestNystromRow:
         np.testing.assert_array_equal(first, nmap.map_point(ds.examples[4]))
 
     def test_row_cache_tolerates_concurrent_readers(self):
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
         ds = planted_dataset(40, 3, seed=12)
@@ -269,11 +271,56 @@ class TestNystromRow:
         def fetch_all(_):
             return [nmap.training_row(ds, i) for i in range(ds.m)]
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(fetch_all, range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(fetch_all, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
         for rows in results:
             for row, want in zip(rows, expected):
                 np.testing.assert_array_equal(row, want)
+
+
+def _build_map(approx, data):
+    kernel = GaussianKernel(0.7)
+    if approx == "nystrom":
+        return build_nystrom(data, kernel, 8, 6, seed=3)
+    return build_fourier(data.n, 16, kernel, seed=3)
+
+
+class TestTrainingRows:
+    @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
+    def test_rows_mapped_once_with_map_point_bytes(self, approx):
+        ds = planted_dataset(15, 3, seed=21)
+        fmap = _build_map(approx, ds)
+        reset_eval_counts()
+        matrix = fmap.training_matrix(ds)
+        rows = [fmap.training_row(ds, i) for i in range(ds.m)]
+        assert fmap.training_matrix(ds) is matrix
+        assert all(fmap.training_row(ds, i) is row for i, row in enumerate(rows))
+        per_row = fmap.sample_size if approx == "nystrom" else fmap.dim
+        counts = eval_counts()
+        assert counts["kernel"] + counts["cosine"] == ds.m * per_row
+        assert matrix.shape == (ds.m, fmap.dim)
+        for i, x in enumerate(ds.examples):
+            np.testing.assert_array_equal(matrix[i], fmap.map_point(x))
+            np.testing.assert_array_equal(rows[i], matrix[i])
+
+    @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
+    def test_second_dataset_gets_its_own_rows(self, approx):
+        first = planted_dataset(15, 3, seed=22)
+        second = planted_dataset(15, 3, seed=23)
+        used, fresh = _build_map(approx, first), _build_map(approx, first)
+        for i in range(first.m):
+            used.training_row(first, i)
+        gamma = np.random.default_rng(5).normal(size=used.dim)
+        for i, x in enumerate(second.examples):
+            np.testing.assert_array_equal(used.training_row(second, i), used.map_point(x))
+        assert feature_objective(gamma, 0.0, used, second, 0.1) == feature_objective(
+            gamma, 0.0, fresh, second, 0.1
+        )
 
 
 class TestEvalCounters:
