@@ -7,6 +7,7 @@ All validation happens before any output file is touched.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -45,6 +46,17 @@ VARIANT_BY_FLAG = {"averaged": "averaged", "strong": "strongly_convex"}
 
 class UsageError(Exception):
     pass
+
+
+def _finite(text: str) -> float:
+    """argparse type for float options: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 @dataclass
@@ -90,16 +102,22 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--model", required=True, help="output model path")
     train.add_argument("--s", type=int, dest="sample_size", help="landmark sample size (nystrom)")
     train.add_argument("--d", type=int, dest="dim", help="feature dimension")
-    train.add_argument("--eps-d", type=float, default=1e-16, help="eigenvalue retention threshold")
-    train.add_argument("--sigma", type=float, default=1.0, help="Gaussian kernel width parameter")
-    train.add_argument("--lambda", type=float, default=1e-3, dest="lam", help="regularization weight")
-    train.add_argument("--epsilon", type=float, default=0.0, help="regression tube half-width")
+    train.add_argument(
+        "--eps-d", type=_finite, default=1e-16, help="eigenvalue retention threshold"
+    )
+    train.add_argument("--sigma", type=_finite, default=1.0, help="Gaussian kernel width parameter")
+    train.add_argument(
+        "--lambda", type=_finite, default=1e-3, dest="lam", help="regularization weight"
+    )
+    train.add_argument("--epsilon", type=_finite, default=0.0, help="regression tube half-width")
     train.add_argument("--iters", type=int, help="iteration budget")
-    train.add_argument("--epochs", type=float, help="epoch budget (iterations = epochs * m)")
+    train.add_argument("--epochs", type=_finite, help="epoch budget (iterations = epochs * m)")
     train.add_argument("--nbar", type=int, help="iteration at which averaging starts")
     train.add_argument("--variant", choices=sorted(VARIANT_BY_FLAG), default="averaged")
     train.add_argument("--no-bias", action="store_true", help="drop the intercept")
-    train.add_argument("--B", type=float, dest="intercept_bound", help="intercept interval half-width")
+    train.add_argument(
+        "--B", type=_finite, dest="intercept_bound", help="intercept interval half-width"
+    )
     train.add_argument("--dg-sample", type=int, default=1000, help="gradient-norm probe size")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--eval-data", help="held-out libsvm file scored at checkpoints")
@@ -122,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--model", help="model to score with")
     evaluate.add_argument("--pred", help="predictions file from the predict command")
     evaluate.add_argument("--task", choices=sorted(TASK_BY_FLAG), help="required with --pred")
-    evaluate.add_argument("--epsilon", type=float, default=0.0, help="regression tube half-width")
+    evaluate.add_argument("--epsilon", type=_finite, default=0.0, help="regression tube half-width")
     return parser
 
 

@@ -3,32 +3,37 @@
 Two views of the same regularized empirical risk are provided: one over a
 feature map (weight vector + intercept) and one over expansion
 coefficients against the exact kernel matrix. ``solve_exact`` minimizes
-the latter deterministically on instances small enough to factorize the
-full kernel matrix, and serves as the reference optimum in tests.
+the latter on instances small enough to hold the full kernel matrix: SMO
+on the dual, certified by its duality gap. It is the reference optimum in
+tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .kernels import FeatureMap, GaussianKernel, _kernel_block
-from .linalg import ConvergenceError, sym_eig
-from .solver import _mean_loss, feasible_region, loss_directions
+from .linalg import ConvergenceError
+from .solver import _mean_loss, feasible_region
 
 GRAM_LIMIT = 200
+# Stop when the largest KKT violation falls below STEP_TOL; accept when the
+# duality gap is within GAP_TOL of max(1, |objective|).
+STEP_TOL = 1e-12
+GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Expansion coefficients, intercept, and the objective they achieve."""
+    """Expansion coefficients, intercept, their objective and its duality gap."""
 
     alpha: np.ndarray
     b: float
     objective: float
+    gap: float
 
 
 def gram_matrix(kernel: GaussianKernel, data: Dataset) -> np.ndarray:
@@ -79,113 +84,90 @@ def solve_exact(
     data: Dataset,
     kernel: GaussianKernel,
     lam: float,
-    task: str | None = None,
     epsilon: float = 0.0,
     iterations: int = 30_000,
     include_bias: bool = True,
     intercept_bound: float | None = None,
 ) -> ExactSolution:
-    """Deterministic reference solve of the exact-kernel problem.
+    """Certified reference solve of the exact-kernel problem by SMO on its dual.
 
-    Works in the feature coordinates of the kernel matrix's own
-    eigendecomposition, where the duality ball on the weight norm is a
-    plain Euclidean ball. Runs full (batch) subgradient descent with
-    diminishing steps at three deterministic step scales, tracking the
-    best iterate and a tail average of each run, for 2 x ``iterations``
-    steps; raises if the second half of the budget still moved the best
-    objective by more than 1e-4 relative.
+    The dual is  min 1/2 beta'Q beta + p'beta + B |z'beta|  over
+    0 <= beta <= 1/m, with Q = (z z' * K) / lam and B the intercept bound
+    (0 without a bias). Classification has z = y and p = -1; regression
+    stacks each example's two tube multipliers, with K tiled 2 x 2,
+    z = (1, -1) and p = (eps - y, eps + y). Each SMO step moves the pair
+    of the largest KKT violation and the best second-order decrease
+    against it (Fan, Chen & Lin 2005). ``iterations`` caps the steps;
+    raises ``ConvergenceError`` if the duality gap is then above 1e-9
+    relative.
     """
     if data.m > GRAM_LIMIT:
         raise ValueError(f"solve_exact is limited to m <= {GRAM_LIMIT}, got {data.m}")
     if data.m < 1:
         raise ValueError("dataset must contain at least one example")
-    task = data.task if task is None else task
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
 
-    gram = gram_matrix(kernel, data)
-    eig = sym_eig(gram)
-    keep = eig.values > max(eig.values[0], 0.0) * 1e-12
-    if not np.any(keep):
-        raise ValueError("kernel matrix has no positive eigenvalues")
-    vectors = eig.vectors[:, keep]
-    values = eig.values[keep]
-    features = vectors * np.sqrt(values)[np.newaxis, :]
-    rank = features.shape[1]
-
-    region = feasible_region(task, lam, data.labels, epsilon, intercept_bound, include_bias)
-    radius = region.gamma_radius
-    labels = data.labels
+    region = feasible_region(data.task, lam, data.labels, epsilon, intercept_bound, include_bias)
+    bound = region.intercept_bound
     m = data.m
-    row_norm = math.sqrt(float(np.max(np.einsum("ij,ij->i", features, features))))
-    grad_bound = lam * radius + row_norm + (1.0 if include_bias else 0.0)
+    y = data.labels
+    gram = gram_matrix(kernel, data)
+    if data.task == "classification":
+        z, p = y, -np.ones(m)
+    else:
+        z = np.concatenate([np.ones(m), -np.ones(m)])
+        p = np.concatenate([epsilon - y, epsilon + y])
+        gram = np.tile(gram, (2, 2))
+    n = z.size
+    q = np.outer(z, z) * gram / lam
+    # Two slack multipliers s+, s- in [0, n/m] with cost B and signs -1, +1
+    # turn B |z'beta| into the equality z'beta = s+ - s-, which SMO keeps;
+    # their KKT conditions hold the intercept within [-B, B].
+    zs = np.concatenate([z, [-1.0, 1.0]])
+    upper = np.concatenate([np.full(n, 1.0 / m), [n / m, n / m]])
+    qs = np.zeros((n + 2, n + 2))
+    qs[:n, :n] = q
+    diag = np.diag(qs)
+    beta = np.zeros(n + 2)
+    grad = np.concatenate([p, [bound, bound]])
+    for step in range(iterations + 1):
+        # a variable in ``up`` bounds the intercept below by its score, one
+        # in ``low`` bounds it above
+        score = -zs * grad
+        up = np.where(zs > 0, beta < upper, beta > 0.0)
+        low = np.where(zs > 0, beta > 0.0, beta < upper)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        lo, hi = score[i], np.min(score, where=low, initial=np.inf)
+        if lo - hi <= STEP_TOL or step == iterations:
+            break
+        # floored: regression pairs i and i + m have zero curvature
+        curv = np.maximum(diag[i] + diag - 2.0 * zs[i] * zs * qs[i], 1e-12)
+        diff = lo - score
+        j = int(np.argmax(np.where(low & (diff > 0.0), diff * diff / curv, -np.inf)))
+        room_i = upper[i] - beta[i] if zs[i] > 0 else beta[i]
+        room_j = beta[j] if zs[j] > 0 else upper[j] - beta[j]
+        t = min(diff[j] / curv[j], room_i, room_j)
+        old_i, old_j = beta[i], beta[j]
+        beta[i] = min(max(old_i + zs[i] * t, 0.0), upper[i])
+        beta[j] = min(max(old_j - zs[j] * t, 0.0), upper[j])
+        grad += qs[:, i] * (beta[i] - old_i) + qs[:, j] * (beta[j] - old_j)
 
-    def objective(gamma: np.ndarray, b: float) -> float:
-        scores = features @ gamma + b
-        return 0.5 * lam * float(np.dot(gamma, gamma)) + _mean_loss(scores, labels, task, epsilon)
-
-    best_f = math.inf
-    best_half_f = math.inf
-    best_gamma = np.zeros(rank)
-    best_b = 0.0
-    total = 2 * iterations
-
-    for scale in (0.25, 1.0, 4.0):
-        gamma = np.zeros(rank)
-        b = 0.0
-        # a run at budget T reports min(best iterate, average of its last
-        # T/2 iterates); the half- and full-budget runs therefore keep
-        # separate tail accumulators over (T/2, T] and (T, 2T]
-        half_tail = (np.zeros(rank), 0.0, 0)
-        full_tail = (np.zeros(rank), 0.0, 0)
-        run_best = math.inf
-        run_best_pair = (gamma.copy(), 0.0)
-        step_base = scale * radius / grad_bound
-        for t in range(1, total + 1):
-            scores = features @ gamma + b
-            f = 0.5 * lam * float(np.dot(gamma, gamma)) + _mean_loss(scores, labels, task, epsilon)
-            if f < run_best:
-                run_best = f
-                run_best_pair = (gamma.copy(), b)
-            if t == iterations and run_best < best_half_f:
-                best_half_f = run_best
-            d = loss_directions(scores, labels, task, epsilon)
-            eta = step_base / math.sqrt(t)
-            gamma = gamma - eta * (lam * gamma + (features.T @ d) / m)
-            nrm = float(np.linalg.norm(gamma))
-            if nrm > radius:
-                gamma *= radius / nrm
-            if include_bias:
-                b -= eta * float(np.mean(d))
-                bound = region.intercept_bound
-                b = min(max(b, -bound), bound)
-            if iterations // 2 < t <= iterations:
-                g_avg, b_avg, count = half_tail
-                count += 1
-                half_tail = (g_avg + (gamma - g_avg) / count, b_avg + (b - b_avg) / count, count)
-            elif t > iterations:
-                g_avg, b_avg, count = full_tail
-                count += 1
-                full_tail = (g_avg + (gamma - g_avg) / count, b_avg + (b - b_avg) / count, count)
-        if run_best < best_f:
-            best_f = run_best
-            best_gamma, best_b = run_best_pair[0].copy(), run_best_pair[1]
-        for is_half, (g_avg, b_avg, count) in ((True, half_tail), (False, full_tail)):
-            if count:
-                f = objective(g_avg, b_avg)
-                if f < best_f:
-                    best_f = f
-                    best_gamma = g_avg.copy()
-                    best_b = b_avg
-                if is_half and f < best_half_f:
-                    best_half_f = f
-
-    if best_half_f - best_f > 1e-4 * max(1.0, abs(best_f)):
+    # a positive slack multiplier pins the intercept to its bound
+    slack_up, slack_down = beta[n:]
+    if slack_up > 0.0 or not bound:
+        b = bound
+    elif slack_down > 0.0:
+        b = -bound
+    else:
+        b = min(max(float(lo + hi) / 2.0, -bound), bound)
+    beta = beta[:n]
+    alpha = (z * beta).reshape(-1, m).sum(axis=0) / lam
+    value = kernel_objective(alpha, b, data, kernel, lam, epsilon)
+    dual = -(0.5 * float(beta @ q @ beta) + float(p @ beta)) - bound * abs(float(z @ beta))
+    gap = value - dual
+    if gap > GAP_TOL * max(1.0, abs(value)):
         raise ConvergenceError(
-            "reference solve failed its stability check: doubling the budget "
-            f"moved the objective from {best_half_f} to {best_f}"
+            f"reference solve left a duality gap of {gap:.3g} after {step} SMO steps"
         )
-
-    alpha = vectors @ (best_gamma / np.sqrt(values))
-    value = kernel_objective(alpha, best_b, data, kernel, lam, epsilon)
-    return ExactSolution(alpha=alpha, b=float(best_b), objective=value)
+    return ExactSolution(alpha=alpha, b=b, objective=value, gap=gap)

@@ -169,18 +169,6 @@ def loss_direction(score: float, label: float, task: str, epsilon: float) -> flo
     return 0.0
 
 
-def loss_directions(
-    scores: np.ndarray, labels: np.ndarray, task: str, epsilon: float
-) -> np.ndarray:
-    """:func:`loss_direction` for every example at once."""
-    if task == "classification":
-        return np.where(labels * scores < 1.0, -labels, 0.0)
-    out = np.zeros_like(scores)
-    out[labels > scores + epsilon] = -1.0
-    out[labels < scores - epsilon] = 1.0
-    return out
-
-
 def _mean_loss(scores: np.ndarray, labels: np.ndarray, task: str, epsilon: float) -> float:
     if task == "classification":
         losses = np.maximum(1.0 - labels * scores, 0.0)

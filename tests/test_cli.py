@@ -144,6 +144,20 @@ class TestTrain:
         model = str(tmp_path / "model.txt")
         assert main(train_args(train, model, **{"--iters": "50", "--epochs": "2"})) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "flag", ["--sigma", "--lambda", "--B", "--epochs", "--epsilon", "--eps-d"]
+    )
+    def test_nonfinite_float_option_is_usage_error(
+        self, flag, value, moons_files, tmp_path, capsys
+    ):
+        train, _ = moons_files
+        model = str(tmp_path / "model.txt")
+        assert main(train_args(train, model, **{flag: value})) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not os.path.exists(model)
+
 
 class TestPredict:
     def test_training_set_predictions_match_labels(self, tmp_path):
@@ -322,6 +336,21 @@ class TestEval:
         )
         assert code == 0
         assert float(capsys.readouterr().out.strip()) == 0.0
+
+    def test_nonfinite_epsilon_is_usage_error(self, tmp_path, capsys):
+        data = str(tmp_path / "data.svm")
+        preds = str(tmp_path / "preds.txt")
+        with open(data, "w") as handle:
+            handle.write("0.5 1:1\n")
+        with open(preds, "w") as handle:
+            handle.write("0.45\n")
+        code = main(
+            ["eval", "--pred", preds, "--data", data, "--task", "regress", "--epsilon", "nan"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     @pytest.mark.parametrize("task", ["class", "regress"])
     def test_model_pred_and_metrics_errors_agree(self, task, tmp_path, capsys):

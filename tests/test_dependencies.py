@@ -1,0 +1,25 @@
+"""numpy is the package's only third-party runtime dependency."""
+
+import ast
+import pathlib
+import sys
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "assetsvm"
+ALLOWED = {"numpy", "assetsvm"}
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    seen = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                seen.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                seen.add((path.name, node.module.split(".")[0]))
+    assert ("oracle.py", "numpy") in seen  # the scan does see imports
+    foreign = sorted(
+        f"{name}: {module}"
+        for name, module in seen
+        if module not in ALLOWED and module not in sys.stdlib_module_names
+    )
+    assert foreign == []

@@ -11,7 +11,7 @@ from assetsvm import (
     recover_alpha,
     solve_exact,
 )
-from helpers import matrix_dataset, planted_dataset
+from helpers import matrix_dataset, planted_dataset, sinusoid_dataset
 
 
 def exact_map(ds, sigma=1.0):
@@ -149,10 +149,63 @@ class TestSolveExact:
         limit = np.sqrt(2 * (np.max(np.abs(y)) - 0.1) / lam)
         assert w_norm <= limit + 1e-9
 
-    def test_stability_check_trips_on_tiny_budget(self):
+    def test_tiny_cap_raises_on_uncertified_gap(self):
         ds = planted_dataset(40, 4, seed=13)
-        with pytest.raises(ConvergenceError, match="stability"):
+        with pytest.raises(ConvergenceError, match="duality gap"):
             solve_exact(ds, GaussianKernel(1.0), 0.01, iterations=10)
+
+    def test_gap_certified_on_acceptance_instances(self):
+        # the oracle-equivalence and regression-path instances; a negative
+        # gap would mean the dual value is not a lower bound
+        cases = [(planted_dataset(50, 5, seed=s), 1.0, 0.1, 0.0, 1.0) for s in range(100, 105)]
+        cases.append((sinusoid_dataset(200, seed=50, noise=0.2), 25.0, 0.01, 0.1, None))
+        for ds, sigma, lam, epsilon, bound in cases:
+            sol = solve_exact(
+                ds, GaussianKernel(sigma), lam, epsilon=epsilon, iterations=20000,
+                intercept_bound=bound,
+            )
+            assert -1e-12 <= sol.gap <= 1e-6
+
+    def test_clamped_intercept_classification(self):
+        # 85% positive labels pull the free intercept to about 0.9
+        rng = np.random.default_rng(21)
+        y = np.ones(40)
+        y[:6] = -1.0
+        ds = matrix_dataset(rng.normal(size=(40, 3)), y, "classification")
+        self.assert_clamped(ds, GaussianKernel(1.0), 0.1, 0.0, (0.1, 0.3, 0.5))
+
+    def test_clamped_intercept_regression(self):
+        # labels shifted by 3 pull the free intercept to about 3
+        rng = np.random.default_rng(22)
+        X = rng.uniform(0, 1, size=(30, 1))
+        ds = matrix_dataset(X, np.sin(2 * np.pi * X[:, 0]) + 3.0, "regression")
+        self.assert_clamped(ds, GaussianKernel(20.0), 0.05, 0.1, (0.5, 1.0, 2.0))
+
+    @staticmethod
+    def assert_clamped(ds, kernel, lam, epsilon, bounds):
+        free = solve_exact(ds, kernel, lam, epsilon=epsilon)
+        assert abs(free.b) > max(bounds)
+        previous = np.inf
+        for bound in bounds:
+            sol = solve_exact(ds, kernel, lam, epsilon=epsilon, intercept_bound=bound)
+            assert abs(sol.b) == bound
+            assert sol.objective <= previous
+            previous = sol.objective
+        assert free.objective <= previous
+
+    def test_zero_intercept_bound_matches_no_bias(self):
+        ds = planted_dataset(30, 3, seed=23)
+        zero = solve_exact(ds, GaussianKernel(1.0), 0.1, intercept_bound=0.0)
+        none = solve_exact(ds, GaussianKernel(1.0), 0.1, include_bias=False)
+        assert zero.b == none.b == 0.0
+        assert zero.objective == pytest.approx(none.objective, rel=1e-12)
+
+    def test_one_class_gives_zero_model(self):
+        rng = np.random.default_rng(24)
+        ds = matrix_dataset(rng.normal(size=(10, 2)), np.ones(10), "classification")
+        sol = solve_exact(ds, GaussianKernel(1.0), 0.1)
+        assert np.all(sol.alpha == 0.0)
+        assert sol.objective == 0.0
 
     def test_deterministic(self):
         ds = planted_dataset(20, 3, seed=14)

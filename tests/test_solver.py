@@ -17,7 +17,7 @@ from assetsvm import (
 )
 from assetsvm import solver
 from assetsvm.rng import DG_STREAM, XI_STREAM, stream
-from assetsvm.solver import loss_direction, loss_directions
+from assetsvm.solver import loss_direction
 from helpers import matrix_dataset, planted_dataset
 
 
@@ -65,24 +65,6 @@ class TestLossDirection:
     )
     def test_scalar_and_vectorized_forms(self, task, score, label, epsilon, expected):
         assert loss_direction(score, label, task, epsilon) == expected
-        batch = loss_directions(np.array([score]), np.array([label]), task, epsilon)
-        assert batch.tolist() == [expected]
-
-    @pytest.mark.parametrize("task", ["classification", "regression"])
-    def test_forms_agree_on_random_batches(self, task):
-        rng = np.random.default_rng(19)
-        epsilon = 0.0 if task == "classification" else 0.25
-        for _ in range(20):
-            scores = rng.normal(size=50)
-            if task == "classification":
-                labels = rng.choice([-1.0, 1.0], size=50)
-                scores[:5] = labels[:5]  # margins exactly one
-            else:
-                labels = rng.normal(size=50)
-                scores[:5] = labels[:5] - epsilon  # labels on the tube boundary
-            batch = loss_directions(scores, labels, task, epsilon)
-            scalar = [loss_direction(float(s), float(y), task, epsilon) for s, y in zip(scores, labels)]
-            assert batch.tolist() == scalar
 
 
 def exact_map(data, sigma=1.0, seed=0):
@@ -328,7 +310,10 @@ class TestAssetTrain:
 class TestSubgradientValidity:
     @staticmethod
     def full_subgradient(rows, labels, task, lam, epsilon, gamma, b):
-        d = loss_directions(rows @ gamma + b, labels, task, epsilon)
+        scores = rows @ gamma + b
+        d = np.array(
+            [loss_direction(float(s), float(y), task, epsilon) for s, y in zip(scores, labels)]
+        )
         return lam * gamma + rows.T @ d / len(labels), float(np.mean(d))
     @pytest.mark.parametrize("task", ["classification", "regression"])
     def test_lower_bound_inequality(self, task):
