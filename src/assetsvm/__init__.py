@@ -48,7 +48,6 @@ from .solver import (
     default_intercept_bound,
     estimate_dg,
     feasible_region,
-    running_average,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,14 @@ times an interval for the intercept). Two step schedules are supported:
   strongly convex in all remaining variables), steps are 1/(lambda*j),
   and the final iterate is reported without averaging.
 
+Each step costs O(d). The weight vector is kept as a scale times a vector,
+gamma = a * v (as in Pegasos, Shalev-Shwartz et al. 2011), with ||v||^2
+updated from the step's own score and a cached squared row norm, so the
+(1 - eta * lambda) shrink and the ball projection only change a. The tail
+average is kept lazily as p * v + q * u (as in averaged SGD, Xu 2011): a step
+whose loss is inactive changes only scalars, and an active step adds one
+multiple of its row to v and one to u.
+
 Training is deterministic: identical (data, params, seed) produce
 bit-identical results.
 """
@@ -32,6 +40,11 @@ VARIANTS = ("averaged", "strongly_convex")
 # Example draws are taken from the XI stream this many at a time; the chunk
 # size leaves the drawn sequence unchanged and only caps the memory it holds.
 XI_CHUNK = 4096
+# The iterate is kept as a scale a times a vector v. Once |a| leaves
+# [RENORM_BELOW, 1], a is multiplied into v. The averaged iterate p*v + q*u
+# cancels terms up to 1/|a| times its size, so this floor caps that loss at
+# about two digits; renormalizing costs about one step and is rare.
+RENORM_BELOW = 1e-2
 
 
 class TrivialRegressionError(ValueError):
@@ -56,7 +69,7 @@ class FeasibleRegion:
     def max_norm(self) -> float:
         """Largest Euclidean norm of any feasible point."""
         if self.include_bias:
-            return math.sqrt(self.gamma_radius**2 + self.intercept_bound**2)
+            return math.hypot(self.gamma_radius, self.intercept_bound)
         return self.gamma_radius
 
 
@@ -144,6 +157,10 @@ def feasible_region(
                 f"(||y||_inf = {y_inf}); the optimal model is identically zero"
             )
         radius = math.sqrt(2.0 * (y_inf - epsilon) / lam)
+        if math.isinf(radius):
+            raise FloatingPointError(
+                f"ball radius overflows for ||y||_inf = {y_inf} and lambda = {lam}"
+            )
     else:
         raise ValueError(f"unknown task {task!r}")
     if not include_bias:
@@ -177,19 +194,6 @@ def _mean_loss(scores: np.ndarray, labels: np.ndarray, task: str, epsilon: float
     return float(np.mean(losses))
 
 
-def running_average(avg, value, weight_sum: float, weight: float):
-    """Fold one value into a weight-proportional running mean.
-
-    Returns the updated mean and total weight. Works elementwise for
-    arrays and plainly for scalars; with zero prior weight the value is
-    adopted exactly.
-    """
-    total = weight_sum + weight
-    w_old = weight_sum / total
-    w_new = weight / total
-    return avg * w_old + value * w_new, total
-
-
 def estimate_dg(
     feature_map: FeatureMap,
     data: Dataset,
@@ -221,6 +225,18 @@ def estimate_dg(
     if dg_sq == 0.0:
         return GradientStats(math.sqrt(params.lam) * region.gamma_radius)
     return GradientStats(math.sqrt(dg_sq))
+
+
+def _fold_scale(a: float, v: np.ndarray, p: float, q: float, u: np.ndarray) -> float:
+    """Multiply the scale ``a`` into ``v`` in place and return the new ||v||^2.
+
+    The average's share ``p * v`` moves into ``u`` first, so afterwards the
+    caller sets ``a = 1`` and ``p = 0`` and both iterates are unchanged.
+    """
+    if p:
+        u += (p / q) * v
+    v *= a
+    return float(np.dot(v, v))
 
 
 def asset_train(
@@ -258,18 +274,27 @@ def asset_train(
     radius_sq = radius * radius
     include_bias = region.include_bias
     bound = region.intercept_bound
-    avg_start = params.avg_start
     total = params.iterations
+    # the strongly convex variant never averages
+    avg_start = total + 1 if strongly else params.avg_start
     dx = region.max_norm
     dg = stats.dg if stats is not None else 0.0
+    renorm_below = RENORM_BELOW
     fetch = feature_map.training_row
     rows: list = [None] * m
+    row_sq = [0.0] * m
     sqrt = math.sqrt
     dot = np.dot
 
-    gamma = np.zeros(feature_map.dim)
+    # gamma = a * v with ||v||^2 = v_sq; avg_gamma = p * v + q * u.
+    dim = feature_map.dim
+    a = 1.0
+    v = np.zeros(dim)
+    v_sq = 0.0
     b = 0.0
-    avg_gamma = np.zeros(feature_map.dim)
+    p = 0.0
+    q = 1.0
+    u = np.zeros(dim)
     avg_b = 0.0
     eta_sum = 0.0
 
@@ -279,25 +304,40 @@ def asset_train(
 
     for first in range(1, total + 1, XI_CHUNK):
         draws = xi_rng.random(min(XI_CHUNK, total + 1 - first)).tolist()
-        for j, u in enumerate(draws, first):
+        for j, draw in enumerate(draws, first):
             if strongly:
                 eta = 1.0 / (lam * j)
             else:
                 eta = dx / (dg * sqrt(j))
-            xi = int(u * m)
+            xi = int(draw * m)
             row = rows[xi]
             if row is None:
                 row = fetch(data, xi)
                 rows[xi] = row
-            d = loss_direction(float(dot(row, gamma)) + b, labels[xi], task, eps)
-            scale = 1.0 - eta * lam
+                row_sq[xi] = float(dot(row, row))
+            s = float(dot(row, v))
+            d = loss_direction(a * s + b, labels[xi], task, eps)
+            a *= 1.0 - eta * lam
+            if abs(a) < renorm_below:
+                v_sq = _fold_scale(a, v, p, q, u)
+                s *= a
+                a, p = 1.0, 0.0
             if d:
-                gamma = gamma * scale - (eta * d) * row
-            else:
-                gamma = gamma * scale
-            nrm_sq = float(dot(gamma, gamma))
-            if nrm_sq > radius_sq:
-                gamma *= radius / sqrt(nrm_sq)
+                c = eta * d / a
+                v -= c * row
+                v_sq += c * (c * row_sq[xi] - 2.0 * s)
+                if p:
+                    u += (p * c / q) * row
+            nrm_sq = a * a * v_sq
+            if not nrm_sq <= radius_sq:
+                nrm = abs(a) * sqrt(v_sq)
+                if not math.isfinite(nrm):
+                    raise FloatingPointError(f"iterate norm overflowed at step {j}")
+                a *= radius / nrm
+            if abs(a) > 1.0:
+                # only a shrink factor below -1 gets here; a * v is in the ball
+                v_sq = _fold_scale(a, v, p, q, u)
+                a, p = 1.0, 0.0
             if include_bias:
                 if d:
                     b = b - eta * d
@@ -305,16 +345,31 @@ def asset_train(
                     b = bound
                 elif b < -bound:
                     b = -bound
-            if not strongly and j >= avg_start:
-                avg_gamma, _ = running_average(avg_gamma, gamma, eta_sum, eta)
-                avg_b, eta_sum = running_average(avg_b, b, eta_sum, eta)
-            if j == next_check:
-                if strongly or j < avg_start:
-                    on_checkpoint(j, gamma.copy(), float(b))
+            if j >= avg_start:
+                if eta_sum:
+                    weight = eta_sum + eta
+                    w_old = eta_sum / weight
+                    w_new = eta / weight
+                    p = p * w_old + a * w_new
+                    q *= w_old
+                    avg_b = avg_b * w_old + b * w_new
+                    eta_sum = weight
                 else:
-                    on_checkpoint(j, avg_gamma.copy(), float(avg_b))
+                    # the first averaged step adopts the iterate exactly
+                    p = a
+                    avg_b = b
+                    eta_sum = eta
+            if j == next_check:
+                if j < avg_start:
+                    on_checkpoint(j, a * v, float(b))
+                else:
+                    on_checkpoint(j, p * v + q * u, float(avg_b))
                 next_check = min(j + checkpoint_every, total) if j < total else total + 1
 
     if strongly:
-        return gamma, 0.0
-    return avg_gamma, float(avg_b)
+        gamma, b = a * v, 0.0
+    else:
+        gamma, b = p * v + q * u, float(avg_b)
+    if not (np.all(np.isfinite(gamma)) and math.isfinite(b)):
+        raise FloatingPointError("training produced a non-finite model")
+    return gamma, b

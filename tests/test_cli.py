@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from assetsvm import eval_counts, reset_eval_counts
+from assetsvm import eval_counts, load_model, reset_eval_counts
 from assetsvm.cli import main
-from helpers import sinusoid_dataset, two_moons, write_libsvm
+from helpers import matrix_dataset, sinusoid_dataset, two_moons, write_libsvm
 
 
 @pytest.fixture()
@@ -456,6 +456,43 @@ class TestRegressionTraining:
         )
         assert code == 3
         assert not os.path.exists(model)
+
+    @staticmethod
+    def huge_label_args(tmp_path, magnitude, lam="0.1"):
+        rng = np.random.default_rng(5)
+        labels = magnitude * np.where(np.arange(20) % 2, 1.0, -1.0)
+        data = matrix_dataset(rng.normal(size=(20, 2)), labels, "regression")
+        train = write_libsvm(tmp_path / "train.svm", data)
+        model = str(tmp_path / "model.txt")
+        args = ["train", "--task", "regress", "--approx", "fourier", "--d", "4",
+                "--lambda", lam, "--iters", "200", "--data", train, "--model", model]
+        return args, model
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            # the step after the first moves the iterate past the largest double
+            pytest.param("0.1", id="iterate"),
+            # the ball radius sqrt(2 ||y||_inf / lambda) is past it already
+            pytest.param("1e-10", id="radius"),
+        ],
+    )
+    def test_overflow_is_numeric_error(self, lam, tmp_path, capsys):
+        args, model = self.huge_label_args(tmp_path, 1e300, lam)
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(model)
+
+    @pytest.mark.parametrize("magnitude", [1e150, 1e200])
+    def test_huge_labels_train_a_finite_model(self, magnitude, tmp_path):
+        # the squared norm of these iterates overflows; their norm does not
+        args, model = self.huge_label_args(tmp_path, magnitude)
+        assert main(args) == 0
+        loaded = load_model(model)
+        assert np.all(np.isfinite(loaded.gamma)) and np.isfinite(loaded.b)
+        assert np.any(loaded.gamma)
 
 
 class TestConsoleEntry:

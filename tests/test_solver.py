@@ -12,7 +12,6 @@ from assetsvm import (
     estimate_dg,
     feasible_region,
     feature_objective,
-    running_average,
     solve_exact,
 )
 from assetsvm import solver
@@ -163,13 +162,6 @@ class TestAssetStep:
         xi = int(stream(4, XI_STREAM).random() * ds.m)
         assert seen[1] == ds.labels[xi] * eta
 
-    def test_weight_algebra(self):
-        avg, total = running_average(0.0, 0.0, 0.0, 1.0)
-        assert (avg, total) == (0.0, 1.0)
-        avg, total = running_average(avg, 3.0, total, 0.5)
-        assert avg == pytest.approx(1.0)
-        assert total == 1.5
-
     def test_iterates_stay_feasible(self):
         ds = planted_dataset(20, 4, seed=5)
         nmap = exact_map(ds)
@@ -241,7 +233,65 @@ class TestAssetTrain:
             nrm_sq = float(np.dot(gamma, gamma))
             if nrm_sq > radius * radius:
                 gamma *= radius / math.sqrt(nrm_sq)
-        np.testing.assert_array_equal(gamma_fast, gamma)
+        # the solver keeps gamma as a scale times a vector, which rounds
+        # differently from these explicit vector steps
+        np.testing.assert_allclose(gamma_fast, gamma, rtol=1e-12, atol=1e-12 * radius)
+
+    def test_averaged_replay_matches_explicit_steps(self):
+        ds = planted_dataset(20, 3, seed=18)
+        nmap = exact_map(ds)
+        lam = 0.1
+        region = feasible_region("classification", lam, ds.labels, intercept_bound=1.0)
+        params = SolverParams(lam=lam, iterations=20_000, avg_start=10_000, seed=21)
+        gamma_fast, b_fast = asset_train(nmap, ds, params, region)
+        # replay with explicit vectors: step, project onto the ball, clamp the
+        # intercept, and fold each tail iterate into a steplength-weighted mean
+        dx = region.max_norm
+        dg = estimate_dg(nmap, ds, params, region).dg
+        radius = region.gamma_radius
+        bound = region.intercept_bound
+        gamma, b = np.zeros(nmap.dim), 0.0
+        avg_gamma, avg_b, eta_sum = np.zeros(nmap.dim), 0.0, 0.0
+        for j, u in enumerate(stream(21, XI_STREAM).random(params.iterations), start=1):
+            eta = dx / (dg * math.sqrt(j))
+            i = int(u * ds.m)
+            row = nmap.training_row(ds, i)
+            y = float(ds.labels[i])
+            d = -y if y * (float(np.dot(row, gamma)) + b) < 1.0 else 0.0
+            gamma = gamma * (1.0 - eta * lam) - (eta * d) * row
+            nrm = float(np.linalg.norm(gamma))
+            if nrm > radius:
+                gamma *= radius / nrm
+            b = min(max(b - eta * d, -bound), bound)
+            if j >= params.avg_start:
+                eta_sum += eta
+                avg_gamma += (eta / eta_sum) * (gamma - avg_gamma)
+                avg_b += (eta / eta_sum) * (b - avg_b)
+        assert np.linalg.norm(gamma_fast - avg_gamma) <= 1e-9 * np.linalg.norm(avg_gamma)
+        assert b_fast == pytest.approx(avg_b, rel=1e-9)
+
+    def test_folding_every_step_matches_default(self, monkeypatch):
+        ds = planted_dataset(20, 4, seed=5)
+        nmap = exact_map(ds)
+        # the intercept interval makes early steps long against the small ball
+        region = feasible_region("classification", 4.0, ds.labels)
+        params = SolverParams(lam=4.0, iterations=2000, avg_start=100, seed=6)
+        # the same stream without averaging shows that the ball projection
+        # fires both before and inside the averaging window
+        norms = []
+        asset_train(
+            nmap, ds, SolverParams(lam=4.0, iterations=2000, avg_start=2000, seed=6), region,
+            checkpoint_every=1, on_checkpoint=lambda j, g, c: norms.append(np.linalg.norm(g)),
+        )
+        hits = [j for j, nrm in enumerate(norms, 1) if nrm >= region.gamma_radius * (1 - 1e-12)]
+        assert min(hits) < params.avg_start < max(hits)
+        gamma, b = asset_train(nmap, ds, params, region)
+        # now every step multiplies its scale into the vector, which first
+        # moves the average's share of that vector into the other part
+        monkeypatch.setattr(solver, "RENORM_BELOW", math.inf)
+        gamma_folded, b_folded = asset_train(nmap, ds, params, region)
+        assert np.linalg.norm(gamma_folded - gamma) <= 1e-12 * np.linalg.norm(gamma)
+        assert b_folded == pytest.approx(b, rel=1e-12)
 
     def test_deterministic_given_seed(self):
         ds = planted_dataset(20, 3, seed=11)
@@ -289,6 +339,18 @@ class TestAssetTrain:
         for i in range(ds.m):
             score = float(nmap.training_row(ds, i) @ gamma) + b
             assert abs(score - b) <= 1e-3 * max_row
+
+    def test_huge_lambda_zero_subgradient_stays_at_zero(self):
+        # every shrink factor 1 - eta * lambda is far below -1, and no loss
+        # is active, so the scale alone would grow without bound
+        labels = np.array([0.1, -0.2, 0.05])
+        ds = matrix_dataset(np.eye(3), labels, "regression")
+        nmap = exact_map(ds)
+        region = feasible_region("regression", 1e6, labels)
+        params = SolverParams(lam=1e6, iterations=2000, epsilon=0.3, seed=0)
+        gamma, b = asset_train(nmap, ds, params, region)
+        assert not np.any(gamma)
+        assert b == 0.0
 
     def test_checkpoints_visit_increasing_iterations(self):
         ds = planted_dataset(12, 3, seed=15)
