@@ -10,7 +10,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -57,35 +56,6 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
-
-
-@dataclass
-class RunConfig:
-    command: str
-    data: str | None = None
-    eval_data: str | None = None
-    model: str | None = None
-    pred: str | None = None
-    out: str | None = None
-    metrics: str | None = None
-    task: str | None = None
-    approx: str | None = None
-    sample_size: int | None = None
-    dim: int | None = None
-    eps_d: float = 1e-16
-    sigma: float = 1.0
-    lam: float = 1e-3
-    epsilon: float = 0.0
-    iters: int | None = None
-    epochs: float | None = None
-    nbar: int | None = None
-    variant: str = "averaged"
-    no_bias: bool = False
-    intercept_bound: float | None = None
-    dg_sample: int = 1000
-    seed: int = 0
-    checks_per_epoch: int = 10
-    timing: str = "off"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,19 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in vars(args):
-        if name != "command" and hasattr(config, name):
-            setattr(config, name, getattr(args, name))
-    if getattr(args, "task", None) is not None:
-        config.task = TASK_BY_FLAG[args.task]
-    if getattr(args, "variant", None) is not None:
-        config.variant = VARIANT_BY_FLAG[args.variant]
-    return config
-
-
-def _validate_train(config: RunConfig) -> None:
+def _validate_train(config: argparse.Namespace) -> None:
     if config.sigma <= 0.0:
         raise UsageError("--sigma must be positive")
     if config.lam <= 0.0:
@@ -204,7 +162,7 @@ def _eval_error(scores: np.ndarray, labels: np.ndarray, task: str, epsilon: floa
     return _mean_loss(scores, labels, task, epsilon)
 
 
-def cmd_train(config: RunConfig) -> int:
+def cmd_train(config: argparse.Namespace) -> int:
     _validate_train(config)
     data = load_libsvm(config.data, config.task)
     if data.m < 1:
@@ -224,8 +182,7 @@ def cmd_train(config: RunConfig) -> int:
         if config.iters is not None
         else max(1, round((config.epochs if config.epochs is not None else 10.0) * data.m))
     )
-    nbar = config.nbar if config.nbar is not None else max(1, iterations - 100)
-    if nbar > iterations:
+    if config.nbar is not None and config.nbar > iterations:
         raise UsageError("--nbar must not exceed the iteration budget")
 
     kernel = GaussianKernel(config.sigma)
@@ -240,7 +197,7 @@ def cmd_train(config: RunConfig) -> int:
     params = SolverParams(
         lam=config.lam,
         iterations=iterations,
-        avg_start=nbar,
+        avg_start=config.nbar,
         variant=config.variant,
         dg_sample=config.dg_sample,
         epsilon=config.epsilon,
@@ -311,7 +268,7 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_predict(config: RunConfig) -> int:
+def cmd_predict(config: argparse.Namespace) -> int:
     model = load_model(config.model)
     data = load_libsvm(config.data, "regression", n_override=model.input_dim)
     lines = []
@@ -347,7 +304,7 @@ def _read_predictions(path: str) -> list[float]:
     return values
 
 
-def cmd_eval(config: RunConfig) -> int:
+def cmd_eval(config: argparse.Namespace) -> int:
     if (config.model is None) == (config.pred is None):
         raise UsageError("eval needs exactly one of --model or --pred")
     if config.pred is not None and config.task is None:
@@ -380,13 +337,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    config = _config_from_args(args)
+    if getattr(args, "task", None) is not None:
+        args.task = TASK_BY_FLAG[args.task]
+    if getattr(args, "variant", None) is not None:
+        args.variant = VARIANT_BY_FLAG[args.variant]
     try:
-        if config.command == "train":
-            return cmd_train(config)
-        if config.command == "predict":
-            return cmd_predict(config)
-        return cmd_eval(config)
+        if args.command == "train":
+            return cmd_train(args)
+        if args.command == "predict":
+            return cmd_predict(args)
+        return cmd_eval(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -145,20 +145,38 @@ class Dataset:
         )
 
 
-def _parse_feature(token: str, lineno: int) -> tuple[int, float]:
-    head, sep, tail = token.partition(":")
-    if not sep:
-        raise DataFormatError(f"line {lineno}: feature token {token!r} lacks ':'")
-    try:
-        index = int(head)
-        value = float(tail)
-    except ValueError:
-        raise DataFormatError(f"line {lineno}: non-numeric feature token {token!r}") from None
-    if index < 1:
-        raise DataFormatError(f"line {lineno}: feature index {index} must be >= 1")
-    if not math.isfinite(value):
-        raise DataFormatError(f"line {lineno}: non-finite feature value in {token!r}")
-    return index, value
+def parse_row(tokens: Sequence[str], lineno: int) -> SparseVector:
+    """One line's ``idx:val`` tokens (1-based, strictly increasing) as a SparseVector."""
+    indices: list[int] = []
+    values: list[float] = []
+    prev = 0
+    for token in tokens:
+        head, sep, tail = token.partition(":")
+        if not sep:
+            raise DataFormatError(f"line {lineno}: feature token {token!r} lacks ':'")
+        try:
+            index = int(head)
+            value = float(tail)
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: non-numeric feature token {token!r}") from None
+        if index < 1:
+            raise DataFormatError(f"line {lineno}: feature index {index} must be >= 1")
+        if not math.isfinite(value):
+            raise DataFormatError(f"line {lineno}: non-finite feature value in {token!r}")
+        if index <= prev:
+            raise DataFormatError(
+                f"line {lineno}: feature indices not strictly increasing "
+                f"({index} after {prev})"
+            )
+        prev = index
+        indices.append(index - 1)
+        values.append(value)
+    return SparseVector(np.array(indices, dtype=np.int64), np.array(values))
+
+
+def format_row(x: SparseVector) -> str:
+    """The features of ``x`` as 1-based ``idx:val`` tokens, each preceded by a space."""
+    return "".join(f" {i + 1}:{v!r}" for i, v in zip(x.indices.tolist(), x.values.tolist()))
 
 
 def _map_class_labels(raw: list[float]) -> list[float]:
@@ -199,21 +217,9 @@ def parse_libsvm(
             raise DataFormatError(f"line {lineno}: non-numeric label {tokens[0]!r}") from None
         if not math.isfinite(label):
             raise DataFormatError(f"line {lineno}: non-finite label")
-        indices: list[int] = []
-        values: list[float] = []
-        prev = 0
-        for token in tokens[1:]:
-            index, value = _parse_feature(token, lineno)
-            if index <= prev:
-                raise DataFormatError(
-                    f"line {lineno}: feature indices not strictly increasing "
-                    f"({index} after {prev})"
-                )
-            prev = index
-            indices.append(index - 1)
-            values.append(value)
-        max_index = max(max_index, prev)
-        examples.append(SparseVector(np.array(indices, dtype=np.int64), np.array(values)))
+        point = parse_row(tokens[1:], lineno)
+        max_index = max(max_index, point.max_index + 1)
+        examples.append(point)
         raw_labels.append(label)
 
     if task == "classification" and raw_labels:
@@ -242,10 +248,7 @@ def format_libsvm(data: Dataset) -> str:
             head = "+1" if label > 0 else "-1"
         else:
             head = repr(float(label))
-        feats = "".join(
-            f" {int(i) + 1}:{float(v)!r}" for i, v in zip(ex.indices, ex.values)
-        )
-        lines.append(head + feats + "\n")
+        lines.append(head + format_row(ex) + "\n")
     return "".join(lines)
 
 

@@ -20,7 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from .data import SparseVector
+from .data import DataFormatError, SparseVector, format_row, parse_row
 from .kernels import (
     FourierMap,
     GaussianKernel,
@@ -87,16 +87,25 @@ class Model:
             raise ValueError(f"unknown task {self.task!r}")
         if self.approx not in APPROX_NAMES:
             raise ValueError(f"unknown approximation {self.approx!r}")
-        if not np.all(np.isfinite(self.gamma)) or not math.isfinite(self.b):
-            raise ValueError("model coefficients must be finite")
+        if not (
+            np.all(np.isfinite(self.gamma)) and math.isfinite(self.b) and math.isfinite(self.lam)
+        ):
+            raise ValueError("model coefficients and lambda must be finite")
         if self.approx == "fourier":
             if not isinstance(self.payload, FourierMap):
                 raise ValueError("fourier models require a FourierMap payload")
             if self.gamma.size != self.payload.dim:
                 raise ValueError("gamma length must match the feature dimension")
+            payload_sigma = self.payload.kernel.sigma
         else:
             if not isinstance(self.payload, NystromRecovery):
                 raise ValueError("nystrom models require a NystromRecovery payload")
+            payload_sigma = self.payload.sigma
+        if self.sigma != payload_sigma:
+            # the file stores Model.sigma, and loading rebuilds the kernel from it
+            raise ValueError(
+                f"sigma {self.sigma!r} differs from the payload's kernel width {payload_sigma!r}"
+            )
 
 
 def recover_alpha(nmap: NystromMap, gamma: np.ndarray) -> NystromRecovery:
@@ -141,7 +150,7 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_vector(values: np.ndarray) -> str:
-    return " ".join(_fmt(v) for v in values)
+    return " ".join(map(repr, values.tolist()))
 
 
 def save_model(model: Model, sink: str | IO[str]) -> None:
@@ -171,10 +180,7 @@ def save_model(model: Model, sink: str | IO[str]) -> None:
         out.write(f"gamma {_fmt_vector(model.gamma)}\n")
         out.write(f"alpha {_fmt_vector(payload.alpha)}\n")
         for point in payload.support_points:
-            feats = " ".join(
-                f"{int(i) + 1}:{_fmt(v)}" for i, v in zip(point.indices, point.values)
-            )
-            out.write(f"support {feats}\n" if feats else "support\n")
+            out.write(f"support{format_row(point)}\n")
 
 
 class _LineReader:
@@ -203,9 +209,12 @@ def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
     if len(tokens) != count:
         raise ModelFormatError(f"{what} has {len(tokens)} values, expected {count}")
     try:
-        return np.array([float(t) for t in tokens])
+        values = np.array([float(t) for t in tokens])
     except ValueError:
         raise ModelFormatError(f"non-numeric value in {what}") from None
+    if not np.isfinite(values).all():
+        raise ModelFormatError(f"non-finite value in {what}")
+    return values
 
 
 def load_model(source: str | IO[str]) -> Model:
@@ -268,28 +277,15 @@ def load_model(source: str | IO[str]) -> Model:
         points = []
         for k in range(sample_size):
             text = reader.next("support")
-            indices: list[int] = []
-            values: list[float] = []
-            prev = 0
-            for token in text.split():
-                head, sep, tail = token.partition(":")
-                if not sep:
-                    raise ModelFormatError(f"bad support token {token!r}")
-                try:
-                    idx = int(head)
-                    val = float(tail)
-                except ValueError:
-                    raise ModelFormatError(f"bad support token {token!r}") from None
-                if idx <= prev:
-                    raise ModelFormatError(f"support point {k + 1} has non-increasing indices")
-                prev = idx
-                indices.append(idx - 1)
-                values.append(val)
-            if prev > input_dim:
+            try:
+                point = parse_row(text.split(), reader.lineno)
+            except DataFormatError as exc:
+                raise ModelFormatError(str(exc)) from None
+            if point.max_index >= input_dim:
                 raise ModelFormatError(
                     f"support point {k + 1} exceeds the declared dimension {input_dim}"
                 )
-            points.append(SparseVector(np.array(indices, dtype=np.int64), np.array(values)))
+            points.append(point)
         try:
             payload = NystromRecovery(alpha=alpha, support_points=tuple(points), sigma=sigma)
         except ValueError as exc:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from assetsvm import eval_counts, load_model, reset_eval_counts
+from assetsvm import ModelFormatError, eval_counts, load_model, reset_eval_counts
 from assetsvm.cli import main
 from helpers import matrix_dataset, sinusoid_dataset, two_moons, write_libsvm
 
@@ -289,6 +289,46 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "sigma" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "header, body, message",
+        [
+            ("lambda 0.001", "offsets 0.25 nan\nfreq 1.0 0.0\nfreq 0.0 1.0\n", "in offsets"),
+            ("lambda 0.001", "offsets 0.25 0.5\nfreq inf 0.0\nfreq 0.0 1.0\n", "in freq row 1"),
+            ("lambda nan", "offsets 0.25 0.5\nfreq 1.0 0.0\nfreq 0.0 1.0\n", "lambda"),
+        ],
+        ids=["offsets", "freq", "lambda"],
+    )
+    def test_nonfinite_fourier_value_is_data_error(self, header, body, message, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(
+            "ASSET-MODEL v1\ntask classification\napprox fourier\nsigma 1.0\n"
+            f"{header}\nbias 0.0\nn 2\nd 2\ngamma 0.5 -0.5\n{body}"
+        )
+        data = tmp_path / "one.svm"
+        data.write_text("+1 1:0.5\n")
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "finite" in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "support", ["1:1.0 1:2.0", "1-1.0", "x:1.0", "0:1.0", "1:inf", "3:1.0"]
+    )
+    def test_bad_support_line_is_model_error(self, support, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(
+            "ASSET-MODEL v1\ntask classification\napprox nystrom\nsigma 1.0\n"
+            "lambda 0.001\nbias 0.0\nn 2\nd 1\ns 1\n"
+            f"gamma 1.0\nalpha 1.0\nsupport {support}\n"
+        )
+        with pytest.raises(ModelFormatError):
+            load_model(str(model))
+        data = tmp_path / "one.svm"
+        data.write_text("+1 1:0.5\n")
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_stdout_output(self, moons_files, tmp_path, capsys):
         train, _ = moons_files

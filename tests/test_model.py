@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -157,6 +158,18 @@ class TestSaveLoad:
         for _ in range(100):
             x = dense_vector(rng.normal(size=n))
             assert decide(loaded, x) == decide(model, x)
+        assert model_to_text(loaded) == model_to_text(model)
+
+    def test_handwritten_text_roundtrips_byte_for_byte(self):
+        # signed zero, the smallest subnormal, a huge value, a decimal with
+        # no exact binary form, and a landmark at the origin
+        text = (
+            "ASSET-MODEL v1\ntask classification\napprox nystrom\nsigma 0.1\n"
+            "lambda 1e+300\nbias -0.0\nn 2\nd 2\ns 2\n"
+            "gamma 5e-324 0.1\nalpha -0.0 1e+300\n"
+            "support 1:0.1 2:5e-324\nsupport\n"
+        )
+        assert model_to_text(load_model(io.StringIO(text))) == text
 
     def test_save_is_deterministic_text(self):
         model = fourier_model(dim=16, seed=13)
@@ -199,6 +212,17 @@ class TestSaveLoad:
         monkeypatch.setattr(np, "empty", no_memory)
         with pytest.raises(ModelFormatError, match="memory"):
             load_model(io.StringIO(text))
+
+
+class TestModelType:
+    @pytest.mark.parametrize("kind", ["fourier", "nystrom"])
+    def test_sigma_mismatch_rejected(self, kind):
+        if kind == "fourier":
+            model = fourier_model(sigma=1.0)
+        else:
+            model, _ = nystrom_model(planted_dataset(10, 3, seed=2), sigma=1.0)
+        with pytest.raises(ValueError, match="sigma"):
+            dataclasses.replace(model, sigma=2.0)
 
 
 class TestNystromRecoveryType:
