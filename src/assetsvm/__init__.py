@@ -20,6 +20,7 @@ from .kernels import (
     FeatureMap,
     FourierMap,
     GaussianKernel,
+    Landmarks,
     NystromMap,
     build_fourier,
     build_nystrom,

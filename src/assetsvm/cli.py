@@ -29,9 +29,9 @@ from .oracle import feature_objective
 from .solver import (
     SolverParams,
     TrivialRegressionError,
-    _mean_loss,
     asset_train,
     feasible_region,
+    mean_loss,
 )
 
 EXIT_OK = 0
@@ -159,7 +159,7 @@ def _eval_error(scores: np.ndarray, labels: np.ndarray, task: str, epsilon: floa
     """Classification error rate (a score of 0 predicts +1), or mean tube loss."""
     if task == "classification":
         return float(np.mean(np.where(scores >= 0.0, 1.0, -1.0) != labels))
-    return _mean_loss(scores, labels, task, epsilon)
+    return mean_loss(scores, labels, task, epsilon)
 
 
 def cmd_train(config: argparse.Namespace) -> int:
@@ -296,11 +296,16 @@ def _read_predictions(path: str) -> list[float]:
             if not tokens:
                 continue
             try:
-                values.append(float(tokens[0]))
+                value = float(tokens[0])
             except ValueError:
                 raise DataFormatError(
                     f"predictions line {lineno}: non-numeric value {tokens[0]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"predictions line {lineno}: non-finite value {tokens[0]!r}"
+                )
+            values.append(value)
     return values
 
 

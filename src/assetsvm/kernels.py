@@ -9,6 +9,9 @@ approximate kernel values, <row(x), row(y)> ~ k(x, y):
 * ``FourierMap`` draws random cosine features whose inner products are
   unbiased estimates of the (shift-invariant) Gaussian kernel.
 
+``Landmarks`` is the one batched kernel evaluation: the landmark map, a
+landmark model's decisions and the exact kernel matrix all go through it.
+
 Module-level evaluation counters support cost assertions in tests: every
 kernel value and every cosine feature computed anywhere is counted.
 """
@@ -60,15 +63,6 @@ def kernel_eval(kernel: GaussianKernel, s: SparseVector, t: SparseVector) -> flo
     return math.exp(-kernel.sigma * s.sq_dist(t))
 
 
-def _dense_block(points: tuple[SparseVector, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    dense = np.zeros((len(points), n))
-    for i, p in enumerate(points):
-        if p.indices.size:
-            dense[i, p.indices] = p.values
-    norms = np.einsum("ij,ij->i", dense, dense)
-    return dense, norms
-
-
 def _gaussian(
     kernel: GaussianKernel, norms_a: np.ndarray, norms_b: np.ndarray | float, cross: np.ndarray
 ) -> np.ndarray:
@@ -79,32 +73,60 @@ def _gaussian(
     return np.exp(-kernel.sigma * np.maximum(norms_a + norms_b - 2.0 * cross, 0.0))
 
 
-def _kernel_block(kernel: GaussianKernel, points: tuple[SparseVector, ...], n: int) -> np.ndarray:
-    # Symmetrized kernel matrix of a point set against itself.
-    dense, norms = _dense_block(points, n)
-    block = _gaussian(kernel, norms[:, np.newaxis], norms[np.newaxis, :], dense @ dense.T)
-    return (block + block.T) / 2.0
+@dataclass(frozen=True, eq=False)
+class Landmarks:
+    """A point set densified once, and the kernel that scores against it.
 
+    The dense block is as wide as the points' largest index + 1, so its
+    size follows the points, not a declared dimension. A landmark map and
+    the model recovered from it share one instance.
+    """
 
-def _kernel_row(
-    kernel: GaussianKernel,
-    dense_points: np.ndarray,
-    point_norms: np.ndarray,
-    x: SparseVector,
-) -> np.ndarray:
-    # One batch of len(dense_points) kernel values against a single point.
-    if x.indices.size:
-        idx = x.indices
-        if int(idx[-1]) >= dense_points.shape[1]:
-            # Coordinates beyond the stored width are zero for every stored
-            # point, so they contribute nothing to the cross terms.
-            mask = idx < dense_points.shape[1]
-            cross = dense_points[:, idx[mask]] @ x.values[mask]
+    kernel: GaussianKernel
+    points: tuple[SparseVector, ...]
+    _dense: np.ndarray = field(init=False, repr=False)
+    _norms: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        points = tuple(self.points)
+        dense = np.zeros((len(points), max((p.max_index for p in points), default=-1) + 1))
+        for i, p in enumerate(points):
+            if p.indices.size:
+                dense[i, p.indices] = p.values
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_norms", np.einsum("ij,ij->i", dense, dense))
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    @property
+    def width(self) -> int:
+        return self._dense.shape[1]
+
+    def block(self) -> np.ndarray:
+        """Symmetrized kernel matrix of the points against each other."""
+        norms = self._norms
+        block = _gaussian(
+            self.kernel, norms[:, np.newaxis], norms[np.newaxis, :], self._dense @ self._dense.T
+        )
+        return (block + block.T) / 2.0
+
+    def row(self, x: SparseVector) -> np.ndarray:
+        """The kernel values of ``x`` against each point, in order."""
+        dense = self._dense
+        if x.indices.size:
+            idx = x.indices
+            if int(idx[-1]) >= dense.shape[1]:
+                # Coordinates beyond the stored width are zero for every
+                # point, so they contribute nothing to the cross terms.
+                mask = idx < dense.shape[1]
+                cross = dense[:, idx[mask]] @ x.values[mask]
+            else:
+                cross = dense[:, idx] @ x.values
         else:
-            cross = dense_points[:, idx] @ x.values
-    else:
-        cross = np.zeros(len(dense_points))
-    return _gaussian(kernel, point_norms, x.norm_sq(), cross)
+            cross = np.zeros(len(dense))
+        return _gaussian(self.kernel, self._norms, x.norm_sq(), cross)
 
 
 class _TrainingRows:
@@ -135,37 +157,26 @@ class NystromMap(_TrainingRows):
 
     ``basis`` holds the leading eigenvector columns of the landmark block
     and ``inv_sqrt_eigs`` the inverse square roots of their eigenvalues;
-    mapping a point costs one kernel batch over the landmarks plus a
-    (sample_size x dim) product. Training rows come from the matrix of
+    mapping a point costs one kernel row over the landmarks plus a
+    (len(landmarks) x dim) product. Training rows come from the matrix of
     :class:`_TrainingRows`, so each is mapped once per dataset.
     """
 
-    kernel: GaussianKernel
-    sample_points: tuple[SparseVector, ...]
+    landmarks: Landmarks
     sample_indices: np.ndarray
     basis: np.ndarray
     inv_sqrt_eigs: np.ndarray
-    eps_d: float
-    input_dim: int
-    _dense: np.ndarray = field(init=False, repr=False)
-    _norms: np.ndarray = field(init=False, repr=False)
     _projector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._dense, self._norms = _dense_block(self.sample_points, self.input_dim)
         self._projector = self.basis * self.inv_sqrt_eigs[np.newaxis, :]
 
     @property
     def dim(self) -> int:
         return int(self.inv_sqrt_eigs.size)
 
-    @property
-    def sample_size(self) -> int:
-        return len(self.sample_points)
-
     def map_point(self, x: SparseVector) -> np.ndarray:
-        kvec = _kernel_row(self.kernel, self._dense, self._norms, x)
-        return kvec @ self._projector
+        return self.landmarks.row(x) @ self._projector
 
     def training_row(self, data: Dataset, index: int) -> np.ndarray:
         return self._rows_for(data)[2][index]
@@ -183,7 +194,6 @@ class FourierMap(_TrainingRows):
     kernel: GaussianKernel
     frequencies: np.ndarray
     offsets: np.ndarray
-    input_dim: int
     _scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -234,9 +244,9 @@ def build_nystrom(
 
     rng = stream(seed, NYSTROM_SAMPLE_STREAM)
     indices = np.sort(rng.choice(data.m, size=sample_size, replace=False))
-    points = tuple(data.examples[int(i)] for i in indices)
+    landmarks = Landmarks(kernel, tuple(data.examples[int(i)] for i in indices))
 
-    eig = sym_eig(_kernel_block(kernel, points, data.n))
+    eig = sym_eig(landmarks.block())
     # An absolute eps_d below machine noise cannot separate true rank from
     # factorization roundoff, so the cut never drops beneath the standard
     # rank-detection floor for this block.
@@ -249,13 +259,10 @@ def build_nystrom(
             f"all eigenvalues of the sampled kernel block fall below eps_d={eps_d}"
         )
     return NystromMap(
-        kernel=kernel,
-        sample_points=points,
+        landmarks=landmarks,
         sample_indices=indices,
         basis=np.ascontiguousarray(eig.vectors[:, :dim]),
         inv_sqrt_eigs=1.0 / np.sqrt(eig.values[:dim]),
-        eps_d=eps_d,
-        input_dim=data.n,
     )
 
 
@@ -273,4 +280,4 @@ def build_fourier(
     rng = stream(seed, FOURIER_STREAM)
     frequencies = rng.normal(0.0, math.sqrt(2.0 * kernel.sigma), size=(dim, input_dim))
     offsets = rng.uniform(0.0, 2.0 * math.pi, size=dim)
-    return FourierMap(kernel=kernel, frequencies=frequencies, offsets=offsets, input_dim=input_dim)
+    return FourierMap(kernel=kernel, frequencies=frequencies, offsets=offsets)

@@ -14,20 +14,14 @@ so a loaded model reproduces its decisions bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 from typing import IO
 
 import numpy as np
 
 from .data import DataFormatError, SparseVector, format_row, parse_row
-from .kernels import (
-    FourierMap,
-    GaussianKernel,
-    NystromMap,
-    _dense_block,
-    _kernel_row,
-)
+from .kernels import FourierMap, GaussianKernel, Landmarks, NystromMap
 
 MODEL_HEADER = "ASSET-MODEL v1"
 TASK_NAMES = ("classification", "regression")
@@ -43,29 +37,15 @@ class NystromRecovery:
     """Expansion coefficients over the landmark points of a trained map."""
 
     alpha: np.ndarray
-    support_points: tuple[SparseVector, ...]
-    sigma: float
-    _kernel: GaussianKernel = field(init=False, repr=False)
-    _dense: np.ndarray = field(init=False, repr=False)
-    _norms: np.ndarray = field(init=False, repr=False)
+    landmarks: Landmarks
 
     def __post_init__(self):
-        object.__setattr__(self, "_kernel", GaussianKernel(self.sigma))
         alpha = np.asarray(self.alpha, dtype=np.float64)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "support_points", tuple(self.support_points))
-        if alpha.ndim != 1 or alpha.size != len(self.support_points):
-            raise ValueError("alpha and support_points must have matching length")
+        if alpha.ndim != 1 or alpha.size != len(self.landmarks):
+            raise ValueError("alpha and landmarks must have matching length")
         if not np.all(np.isfinite(alpha)):
             raise ValueError("alpha entries must be finite")
-        top = max((p.max_index for p in self.support_points), default=-1)
-        dense, norms = _dense_block(self.support_points, top + 1)
-        object.__setattr__(self, "_dense", dense)
-        object.__setattr__(self, "_norms", norms)
-
-    @property
-    def sample_size(self) -> int:
-        return len(self.support_points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +76,21 @@ class Model:
                 raise ValueError("fourier models require a FourierMap payload")
             if self.gamma.size != self.payload.dim:
                 raise ValueError("gamma length must match the feature dimension")
+            width = self.payload.frequencies.shape[1]
+            if width != self.input_dim:
+                raise ValueError(
+                    f"frequencies have {width} columns for input dimension {self.input_dim}"
+                )
             payload_sigma = self.payload.kernel.sigma
         else:
             if not isinstance(self.payload, NystromRecovery):
                 raise ValueError("nystrom models require a NystromRecovery payload")
-            payload_sigma = self.payload.sigma
+            width = self.payload.landmarks.width
+            if width > self.input_dim:
+                raise ValueError(
+                    f"landmarks use feature index {width} beyond input dimension {self.input_dim}"
+                )
+            payload_sigma = self.payload.landmarks.kernel.sigma
         if self.sigma != payload_sigma:
             # the file stores Model.sigma, and loading rebuilds the kernel from it
             raise ValueError(
@@ -114,13 +104,14 @@ def recover_alpha(nmap: NystromMap, gamma: np.ndarray) -> NystromRecovery:
     The coefficients are the scaled eigenbasis applied to gamma; pushing
     them back through the landmark feature rows reproduces gamma, so the
     expansion scores agree with the feature-space decision function. The
-    cost is one (sample_size x dim) product, paid once at save time.
+    cost is one (len(landmarks) x dim) product, paid once at save time.
+    The model shares the map's landmarks, densified once.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.shape != (nmap.dim,):
         raise ValueError(f"gamma must have length {nmap.dim}, got {gamma.shape}")
     alpha = nmap.basis @ (nmap.inv_sqrt_eigs * gamma)
-    return NystromRecovery(alpha=alpha, support_points=nmap.sample_points, sigma=nmap.kernel.sigma)
+    return NystromRecovery(alpha=alpha, landmarks=nmap.landmarks)
 
 
 def decide(model: Model, x: SparseVector) -> float:
@@ -136,8 +127,7 @@ def decide(model: Model, x: SparseVector) -> float:
     if model.approx == "fourier":
         return float(np.dot(model.payload.map_point(x), model.gamma)) + model.b
     payload = model.payload
-    kvec = _kernel_row(payload._kernel, payload._dense, payload._norms, x)
-    return float(np.dot(kvec, payload.alpha)) + model.b
+    return float(np.dot(payload.landmarks.row(x), payload.alpha)) + model.b
 
 
 def predict_label(model: Model, x: SparseVector) -> int:
@@ -176,10 +166,10 @@ def save_model(model: Model, sink: str | IO[str]) -> None:
             out.write(f"freq {_fmt_vector(row)}\n")
     else:
         payload = model.payload
-        out.write(f"s {payload.sample_size}\n")
+        out.write(f"s {len(payload.landmarks)}\n")
         out.write(f"gamma {_fmt_vector(model.gamma)}\n")
         out.write(f"alpha {_fmt_vector(payload.alpha)}\n")
-        for point in payload.support_points:
+        for point in payload.landmarks.points:
             out.write(f"support{format_row(point)}\n")
 
 
@@ -265,7 +255,7 @@ def load_model(source: str | IO[str]) -> Model:
         for k in range(1, dim):
             freqs[k] = _parse_floats(reader.next("freq"), input_dim, f"freq row {k + 1}")
         payload: FourierMap | NystromRecovery = FourierMap(
-            kernel=kernel, frequencies=freqs, offsets=offsets, input_dim=input_dim
+            kernel=kernel, frequencies=freqs, offsets=offsets
         )
     else:
         try:
@@ -275,19 +265,14 @@ def load_model(source: str | IO[str]) -> Model:
         gamma = _parse_floats(reader.next("gamma"), dim, "gamma")
         alpha = _parse_floats(reader.next("alpha"), sample_size, "alpha")
         points = []
-        for k in range(sample_size):
+        for _ in range(sample_size):
             text = reader.next("support")
             try:
-                point = parse_row(text.split(), reader.lineno)
+                points.append(parse_row(text.split(), reader.lineno))
             except DataFormatError as exc:
                 raise ModelFormatError(str(exc)) from None
-            if point.max_index >= input_dim:
-                raise ModelFormatError(
-                    f"support point {k + 1} exceeds the declared dimension {input_dim}"
-                )
-            points.append(point)
         try:
-            payload = NystromRecovery(alpha=alpha, support_points=tuple(points), sigma=sigma)
+            payload = NystromRecovery(alpha=alpha, landmarks=Landmarks(kernel, tuple(points)))
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
         except MemoryError:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .kernels import FeatureMap, GaussianKernel, _kernel_block
+from .kernels import FeatureMap, GaussianKernel, Landmarks
 from .linalg import ConvergenceError
-from .solver import _mean_loss, feasible_region
+from .solver import feasible_region, mean_loss
 
 GRAM_LIMIT = 200
 # Stop when the largest KKT violation falls below STEP_TOL; accept when the
@@ -38,7 +38,7 @@ class ExactSolution:
 
 def gram_matrix(kernel: GaussianKernel, data: Dataset) -> np.ndarray:
     """Full m x m kernel matrix (symmetrized)."""
-    return _kernel_block(kernel, data.examples, data.n)
+    return Landmarks(kernel, data.examples).block()
 
 
 def feature_objective(
@@ -53,7 +53,7 @@ def feature_objective(
     gamma = np.asarray(gamma, dtype=np.float64)
     scores = feature_map.training_matrix(data) @ gamma + b
     quad = 0.5 * lam * float(np.dot(gamma, gamma))
-    return quad + _mean_loss(scores, data.labels, data.task, epsilon)
+    return quad + mean_loss(scores, data.labels, data.task, epsilon)
 
 
 def kernel_objective(
@@ -77,7 +77,7 @@ def kernel_objective(
     gram = gram_matrix(kernel, data)
     scores = gram @ alpha + b
     quad = 0.5 * lam * float(alpha @ gram @ alpha)
-    return quad + _mean_loss(scores, data.labels, data.task, epsilon)
+    return quad + mean_loss(scores, data.labels, data.task, epsilon)
 
 
 def solve_exact(

@@ -186,7 +186,8 @@ def loss_direction(score: float, label: float, task: str, epsilon: float) -> flo
     return 0.0
 
 
-def _mean_loss(scores: np.ndarray, labels: np.ndarray, task: str, epsilon: float) -> float:
+def mean_loss(scores: np.ndarray, labels: np.ndarray, task: str, epsilon: float) -> float:
+    """Mean hinge loss (classification) or tube loss (regression) of the scores."""
     if task == "classification":
         losses = np.maximum(1.0 - labels * scores, 0.0)
     else:

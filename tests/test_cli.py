@@ -421,6 +421,20 @@ class TestEval:
         assert from_model == from_pred == from_metrics
         assert float(from_model) > 0.0
 
+    @pytest.mark.parametrize("task", ["class", "regress"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_prediction_is_data_error(self, value, task, tmp_path, capsys):
+        data = str(tmp_path / "data.svm")
+        preds = str(tmp_path / "preds.txt")
+        with open(data, "w") as handle:
+            handle.write("+1 1:1\n-1 1:2\n")
+        with open(preds, "w") as handle:
+            handle.write(f"-1\n{value}\n")
+        assert main(["eval", "--pred", preds, "--data", data, "--task", task]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"predictions line 2: non-finite value {value!r}" in captured.err
+
     def test_count_mismatch_is_data_error(self, tmp_path):
         data = str(tmp_path / "data.svm")
         preds = str(tmp_path / "preds.txt")

@@ -1,4 +1,5 @@
-"""numpy is the package's only third-party runtime dependency."""
+"""numpy is the package's only third-party runtime dependency, and the
+package's modules talk to each other through public names."""
 
 import ast
 import pathlib
@@ -23,3 +24,19 @@ def test_package_imports_only_stdlib_and_numpy():
         if module not in ALLOWED and module not in sys.stdlib_module_names
     )
     assert foreign == []
+
+
+def test_modules_import_no_private_sibling_names():
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            sibling = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "assetsvm"
+            )
+            if sibling:
+                private += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []

@@ -96,7 +96,6 @@ class TestFourierMap:
             kernel=GaussianKernel(1.0),
             frequencies=np.zeros((1, 2)),
             offsets=np.zeros(1),
-            input_dim=2,
         )
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -184,7 +183,7 @@ class TestBuildNystrom:
         ds = planted_dataset(20, 3, seed=4)
         nmap = build_nystrom(ds, GaussianKernel(1.0), 10, 7, seed=1)
         assert 1 <= nmap.dim <= 7
-        assert nmap.sample_size == 10
+        assert len(nmap.landmarks) == 10
         assert np.all(1.0 / nmap.inv_sqrt_eigs**2 >= 1e-16)
 
     def test_basis_columns_orthonormal(self):
@@ -208,11 +207,11 @@ class TestNystromRow:
         nmap = build_nystrom(ds, k, 12, 12, seed=3)
         block = np.stack(
             [
-                [kernel_eval(k, p, q) for q in nmap.sample_points]
-                for p in nmap.sample_points
+                [kernel_eval(k, p, q) for q in nmap.landmarks.points]
+                for p in nmap.landmarks.points
             ]
         )
-        rows = np.stack([nmap.map_point(p) for p in nmap.sample_points])
+        rows = np.stack([nmap.map_point(p) for p in nmap.landmarks.points])
         assert np.linalg.norm(rows @ rows.T - block) <= 1e-8 * max(1.0, np.linalg.norm(block))
 
     def test_well_separated_points_give_basis_vectors(self):
@@ -220,7 +219,7 @@ class TestNystromRow:
         X = np.diag([100.0, 200.0, 300.0])
         ds = matrix_dataset(X, np.array([1.0, -1.0, 1.0]), "classification")
         nmap = build_nystrom(ds, GaussianKernel(1.0), 3, 3, seed=0)
-        for i, p in enumerate(nmap.sample_points):
+        for i, p in enumerate(nmap.landmarks.points):
             row = nmap.map_point(p)
             target = np.zeros(3)
             target[np.argmax(np.abs(row))] = math.copysign(1.0, row[np.argmax(np.abs(row))])
@@ -240,11 +239,11 @@ class TestNystromRow:
         k = GaussianKernel(1.0)
         target_dim = 6
         nmap = build_nystrom(ds, k, 12, target_dim, seed=4)
-        rows = np.stack([nmap.map_point(p) for p in nmap.sample_points])
+        rows = np.stack([nmap.map_point(p) for p in nmap.landmarks.points])
         block = np.stack(
             [
-                [kernel_eval(k, p, q) for q in nmap.sample_points]
-                for p in nmap.sample_points
+                [kernel_eval(k, p, q) for q in nmap.landmarks.points]
+                for p in nmap.landmarks.points
             ]
         )
         eig = sym_eig(block)
@@ -300,7 +299,7 @@ class TestTrainingRows:
         rows = [fmap.training_row(ds, i) for i in range(ds.m)]
         assert fmap.training_matrix(ds) is matrix
         assert all(fmap.training_row(ds, i) is row for i, row in enumerate(rows))
-        per_row = fmap.sample_size if approx == "nystrom" else fmap.dim
+        per_row = len(fmap.landmarks) if approx == "nystrom" else fmap.dim
         counts = eval_counts()
         assert counts["kernel"] + counts["cosine"] == ds.m * per_row
         assert matrix.shape == (ds.m, fmap.dim)

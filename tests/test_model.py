@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from assetsvm import (
+    Dataset,
     GaussianKernel,
+    Landmarks,
     Model,
     ModelFormatError,
     NystromRecovery,
+    SparseVector,
     build_fourier,
     build_nystrom,
     decide,
@@ -74,18 +77,23 @@ class TestRecoverAlpha:
         ds = planted_dataset(25, 4, seed=1)
         nmap = build_nystrom(ds, GaussianKernel(1.0), 15, 15, seed=2)
         rng = np.random.default_rng(3)
-        rows = np.stack([nmap.map_point(p) for p in nmap.sample_points])
+        rows = np.stack([nmap.map_point(p) for p in nmap.landmarks.points])
         for _ in range(20):
             gamma = rng.normal(size=nmap.dim)
             rec = recover_alpha(nmap, gamma)
             residual = np.linalg.norm(rows.T @ rec.alpha - gamma)
             assert residual <= 1e-8
 
+    def test_model_shares_the_maps_landmarks(self):
+        ds = planted_dataset(10, 3, seed=4)
+        nmap = build_nystrom(ds, GaussianKernel(1.0), 6, 6, seed=0)
+        assert recover_alpha(nmap, np.zeros(nmap.dim)).landmarks is nmap.landmarks
+
     def test_zero_gamma_gives_zero_alpha(self):
         ds = planted_dataset(10, 3, seed=4)
         nmap = build_nystrom(ds, GaussianKernel(1.0), 6, 6, seed=0)
         rec = recover_alpha(nmap, np.zeros(nmap.dim))
-        np.testing.assert_array_equal(rec.alpha, np.zeros(nmap.sample_size))
+        np.testing.assert_array_equal(rec.alpha, np.zeros(len(nmap.landmarks)))
 
     def test_wrong_length_rejected(self):
         ds = planted_dataset(10, 3, seed=5)
@@ -142,14 +150,24 @@ class TestDecide:
 
 
 class TestSaveLoad:
-    @pytest.mark.parametrize("kind", ["fourier", "nystrom"])
+    @pytest.mark.parametrize("kind", ["fourier", "nystrom", "sparse-nystrom"])
     def test_roundtrip_preserves_decisions_exactly(self, kind, tmp_path):
         if kind == "fourier":
             model = fourier_model(dim=48, seed=10)
             n = model.input_dim
-        else:
+        elif kind == "nystrom":
             ds = planted_dataset(20, 5, seed=11)
             model, _ = nystrom_model(ds, sample=12, seed=4)
+            n = ds.n
+        else:
+            # the landmarks use columns 1 and 3 of 8, so the dense block is
+            # 4 wide with a column no landmark uses, and the queries below
+            # also reach columns past it
+            values = np.random.default_rng(11).normal(size=(20, 2))
+            rows = tuple(SparseVector(np.array([1, 3]), v) for v in values)
+            ds = Dataset(rows, np.where(values[:, 0] > 0.0, 1.0, -1.0), 8, "classification")
+            model, _ = nystrom_model(ds, sample=12, seed=4)
+            assert model.payload.landmarks.width == 4
             n = ds.n
         path = str(tmp_path / "model.txt")
         save_model(model, path)
@@ -158,6 +176,11 @@ class TestSaveLoad:
         for _ in range(100):
             x = dense_vector(rng.normal(size=n))
             assert decide(loaded, x) == decide(model, x)
+        if kind == "sparse-nystrom":
+            for _ in range(100):
+                cols = np.sort(rng.choice(n, size=rng.integers(0, n + 1), replace=False))
+                x = SparseVector(cols, rng.normal(size=cols.size))
+                assert decide(loaded, x) == decide(model, x)
         assert model_to_text(loaded) == model_to_text(model)
 
     def test_handwritten_text_roundtrips_byte_for_byte(self):
@@ -225,13 +248,28 @@ class TestModelType:
             dataclasses.replace(model, sigma=2.0)
 
 
+class TestPayloadWidth:
+    @pytest.mark.parametrize("input_dim", [3, 5])
+    def test_fourier_frequencies_must_match_input_dim(self, input_dim):
+        model = fourier_model(n=4)
+        with pytest.raises(ValueError, match="columns"):
+            dataclasses.replace(model, input_dim=input_dim)
+
+    def test_nystrom_landmarks_must_fit_input_dim(self):
+        ds = planted_dataset(10, 3, seed=2)
+        model, _ = nystrom_model(ds)
+        # wider is fine: the landmarks leave the extra columns at zero
+        assert dataclasses.replace(model, input_dim=5).input_dim == 5
+        with pytest.raises(ValueError, match="landmarks"):
+            dataclasses.replace(model, input_dim=2)
+
+
 class TestNystromRecoveryType:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             NystromRecovery(
                 alpha=np.zeros(2),
-                support_points=(dense_vector([1.0]),),
-                sigma=1.0,
+                landmarks=Landmarks(GaussianKernel(1.0), (dense_vector([1.0]),)),
             )
 
     def test_decide_handles_points_wider_than_supports(self):
