@@ -9,6 +9,7 @@ dimension, never on a support-vector count.
 from .data import (
     DataFormatError,
     Dataset,
+    SparseRows,
     SparseVector,
     format_libsvm,
     load_libsvm,

@@ -7,6 +7,7 @@ All validation happens before any output file is touched.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -58,7 +59,13 @@ def _finite(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and then shared.
+
+    Parsing leaves it unchanged: each call returns a fresh Namespace that
+    holds the defaults of the chosen subcommand only.
+    """
     parser = argparse.ArgumentParser(
         prog="assetsvm",
         description="Train and apply Gaussian-kernel SVMs over low-dimensional kernel approximations.",
@@ -221,7 +228,8 @@ def cmd_train(config: argparse.Namespace) -> int:
         metrics_handle.write("iteration,seconds,objective,eval_error\n")
         checkpoint_every = max(1, round(data.m / config.checks_per_epoch))
         if eval_data is not None:
-            eval_rows = [feature_map.map_point(x) for x in eval_data.examples]
+            # not training_matrix: the map caches one dataset, the training set
+            eval_matrix = feature_map.map_all(eval_data.examples)
         start = time.perf_counter()
 
         def on_checkpoint(j: int, gamma: np.ndarray, b: float) -> None:
@@ -230,7 +238,7 @@ def cmd_train(config: argparse.Namespace) -> int:
                 gamma, b, feature_map, data, config.lam, config.epsilon
             )
             if eval_data is not None:
-                scores = np.array([float(np.dot(r, gamma)) + b for r in eval_rows])
+                scores = eval_matrix @ gamma + b
                 err = _eval_error(scores, eval_data.labels, config.task, config.epsilon)
                 err_text = repr(err)
             else:
@@ -348,7 +356,9 @@ def main(argv: list[str] | None = None) -> int:
         args.variant = VARIANT_BY_FLAG[args.variant]
     try:
         if args.command == "train":
-            return cmd_train(args)
+            # an overflow or NaN in training ends in exit 3, never a NaN model
+            with np.errstate(over="raise", invalid="raise"):
+                return cmd_train(args)
         if args.command == "predict":
             return cmd_predict(args)
         return cmd_eval(args)

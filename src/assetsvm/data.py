@@ -2,14 +2,18 @@
 
 Feature indices are 1-based in files (libsvm convention) and 0-based
 internally; the translation happens only at the parse/format boundary.
-Datasets are immutable once built and safe to share across threads.
+A dataset keeps its rows in CSR arrays (``SparseRows``). Datasets are
+immutable once built and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Literal, Sequence
+from typing import IO, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -18,6 +22,10 @@ from .rng import SPLIT_STREAM, stream
 TaskKind = Literal["classification", "regression"]
 
 TASKS = ("classification", "regression")
+# The parser converts about this many characters of lines at a time: its
+# token lists stay a few thousand entries long whatever the file's size.
+BLOCK_CHARS = 1 << 15
+_COLON, _SPACE = ord(":"), ord(" ")
 
 
 class DataFormatError(ValueError):
@@ -49,6 +57,14 @@ class SparseVector:
                 raise DataFormatError("feature indices must be strictly increasing")
         if not np.all(np.isfinite(val)):
             raise DataFormatError("feature values must be finite")
+
+    @classmethod
+    def view(cls, indices: np.ndarray, values: np.ndarray) -> "SparseVector":
+        """A vector over arrays known to meet the invariants; nothing is checked or copied."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "indices", indices)
+        object.__setattr__(x, "values", values)
+        return x
 
     def __eq__(self, other) -> bool:
         return (
@@ -84,27 +100,142 @@ class SparseVector:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Immutable collection of labeled sparse examples.
+class SparseRows(Sequence[SparseVector]):
+    """Consecutive sparse rows in CSR form.
 
-    ``n`` is the feature dimension (every stored index is < n). Parsed
-    datasets always contain at least one example; empty instances appear
-    only as the unused parts of a split or as empty prediction inputs.
+    Row ``i`` holds ``indices[indptr[i]:indptr[i + 1]]`` and the matching
+    ``values``; every row keeps the invariants of :class:`SparseVector`.
+    The constructor trusts its arrays: rows come from validated
+    SparseVectors (:meth:`of`), from the parser, or from slicing another
+    SparseRows. Indexing yields SparseVector views of the arrays, and a
+    slice is a SparseRows sharing them; neither copies or re-validates.
     """
 
-    examples: tuple[SparseVector, ...]
+    __slots__ = ("indptr", "indices", "values")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray):
+        self.indptr = indptr
+        self.indices = indices
+        self.values = values
+
+    @classmethod
+    def of(cls, vectors: Iterable[SparseVector]) -> "SparseRows":
+        """Rows holding copies of the vectors' arrays, in order."""
+        vectors = list(vectors)
+        indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+        np.cumsum([x.indices.size for x in vectors], out=indptr[1:])
+        if not vectors:
+            return cls(indptr, np.zeros(0, dtype=np.int64), np.zeros(0))
+        return cls(
+            indptr,
+            np.concatenate([x.indices for x in vectors]),
+            np.concatenate([x.values for x in vectors]),
+        )
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                raise ValueError("SparseRows slices must be contiguous")
+            stop = max(start, stop)
+            lo, hi = self.indptr[start], self.indptr[stop]
+            indptr = self.indptr[start : stop + 1] - lo
+            return SparseRows(indptr, self.indices[lo:hi], self.values[lo:hi])
+        i = operator.index(key)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("row index out of range")
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return SparseVector.view(self.indices[lo:hi], self.values[lo:hi])
+
+    def __iter__(self) -> Iterator[SparseVector]:
+        indices, values = self.indices, self.values
+        bounds = self.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield SparseVector.view(indices[lo:hi], values[lo:hi])
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SparseRows)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.values, other.values)
+        )
+
+    @property
+    def width(self) -> int:
+        """Largest index present + 1, or 0 if no row has a feature."""
+        return int(self.indices.max()) + 1 if self.indices.size else 0
+
+    def take(self, order: Sequence[int] | np.ndarray) -> "SparseRows":
+        """New rows holding the rows at ``order``, in that order."""
+        order = np.asarray(order, dtype=np.int64).reshape(-1)
+        m = len(self)
+        if order.size and (order.min() < -m or order.max() >= m):
+            raise IndexError("row index out of range")
+        order = np.where(order < 0, order + m, order)
+        starts = self.indptr[order]
+        lengths = self.indptr[order + 1] - starts
+        indptr = np.zeros(order.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        picks = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return SparseRows(indptr, self.indices[picks], self.values[picks])
+
+    def dense(self, width: int) -> np.ndarray:
+        """The rows as a (len x width) array; features at index >= width are dropped."""
+        out = np.zeros((len(self), width))
+        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        cols, values = self.indices, self.values
+        if self.width > width:
+            keep = cols < width
+            rows, cols, values = rows[keep], cols[keep], values[keep]
+        out[rows, cols] = values
+        return out
+
+    def sq_norms(self) -> np.ndarray:
+        """Each row's squared Euclidean norm.
+
+        Every row is summed on its own, so a row's norm does not depend on
+        which other rows share the block.
+        """
+        out = np.zeros(len(self))
+        filled = np.flatnonzero(np.diff(self.indptr))
+        if filled.size:
+            squares = self.values * self.values
+            out[filled] = np.add.reduceat(squares, self.indptr[filled] - self.indptr[0])
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Immutable collection of labeled sparse examples, stored as CSR rows.
+
+    ``examples`` accepts any iterable of SparseVectors and is kept as
+    :class:`SparseRows`; iterating it yields row views. ``n`` is the
+    feature dimension (every stored index is < n). Parsed datasets always
+    contain at least one example; empty instances appear only as the
+    unused parts of a split or as empty prediction inputs.
+    """
+
+    examples: SparseRows
     labels: np.ndarray
     n: int
     task: TaskKind
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.float64)
+        rows = self.examples
+        if not isinstance(rows, SparseRows):
+            rows = SparseRows.of(rows)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "examples", tuple(self.examples))
+        object.__setattr__(self, "examples", rows)
         if self.task not in TASKS:
             raise DataFormatError(f"unknown task {self.task!r}")
-        if labels.ndim != 1 or len(self.examples) != labels.size:
+        if labels.ndim != 1 or len(rows) != labels.size:
             raise DataFormatError("examples and labels must have matching length")
         if not np.all(np.isfinite(labels)):
             raise DataFormatError("labels must be finite")
@@ -114,12 +245,13 @@ class Dataset:
                 raise DataFormatError(f"classification label {bad[0]} not in {{-1, +1}}")
         if self.n < 0:
             raise DataFormatError("feature dimension must be nonnegative")
-        for k, ex in enumerate(self.examples):
-            if ex.max_index >= self.n:
-                raise DataFormatError(
-                    f"example {k + 1} uses feature index {ex.max_index + 1} "
-                    f"beyond dimension {self.n}"
-                )
+        if rows.width > self.n:
+            first = int(np.argmax(rows.indices >= self.n))
+            k = int(np.searchsorted(rows.indptr, first, side="right")) - 1
+            raise DataFormatError(
+                f"example {k + 1} uses feature index {rows[k].max_index + 1} "
+                f"beyond dimension {self.n}"
+            )
 
     def __eq__(self, other) -> bool:
         return (
@@ -134,15 +266,10 @@ class Dataset:
     def m(self) -> int:
         return len(self.examples)
 
-    def subset(self, order: Sequence[int]) -> "Dataset":
+    def subset(self, order: Sequence[int] | np.ndarray) -> "Dataset":
         """New dataset holding the examples at ``order``, in that order."""
-        idx = [int(i) for i in order]
-        return Dataset(
-            examples=tuple(self.examples[i] for i in idx),
-            labels=self.labels[idx] if idx else np.zeros(0),
-            n=self.n,
-            task=self.task,
-        )
+        order = np.asarray(order, dtype=np.int64).reshape(-1)
+        return Dataset(self.examples.take(order), self.labels[order], self.n, self.task)
 
 
 def parse_row(tokens: Sequence[str], lineno: int) -> SparseVector:
@@ -179,15 +306,153 @@ def format_row(x: SparseVector) -> str:
     return "".join(f" {i + 1}:{v!r}" for i, v in zip(x.indices.tolist(), x.values.tolist()))
 
 
-def _map_class_labels(raw: list[float]) -> list[float]:
-    seen = set(raw)
+def _map_class_labels(raw: np.ndarray) -> np.ndarray:
+    seen = set(raw.tolist())
     if seen <= {-1.0, 1.0}:
         return raw
     if seen <= {0.0, 1.0} and seen != {0.0}:
         # 0/1 files are accepted only when the two-value convention is clear.
-        return [1.0 if v == 1.0 else -1.0 for v in raw]
+        return np.where(raw == 1.0, 1.0, -1.0)
     bad = sorted(seen - {-1.0, 0.0, 1.0}) or [0.0]
     raise DataFormatError(f"classification label {bad[0]} not mappable to {{-1, +1}}")
+
+
+def _parse_lines(lines: Iterable[str], lineno: int) -> tuple[list[SparseVector], list[float]]:
+    """The line path: each line after line ``lineno`` as a row and a raw label."""
+    examples: list[SparseVector] = []
+    raw_labels: list[float] = []
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        tokens = text.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: non-numeric label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise DataFormatError(f"line {lineno}: non-finite label")
+        examples.append(parse_row(tokens[1:], lineno))
+        raw_labels.append(label)
+    return examples, raw_labels
+
+
+def _parse_block(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Labels, row lengths, 0-based indices and values of a block of lines.
+
+    Returns None when any line is not plain data that the line path would
+    accept unchanged: a comment, a token without exactly one ':' between
+    nonempty parts, a non-numeric or non-finite number, an index below 1
+    or out of order. Numbers go through the same int() and float() rules
+    as the line path's, one numpy conversion per column.
+    """
+    if any("#" in line for line in lines):
+        return None
+    rows = [tokens for tokens in map(str.split, lines) if tokens]
+    features = [token for tokens in rows for token in tokens[1:]]
+    joined = " ".join(features)
+    if features:
+        # Only "head:tail head:tail ..." has one colon before each joining space.
+        raw = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        marks = raw[(raw == _COLON) | (raw == _SPACE)]
+        if marks.size != 2 * len(features) - 1 or np.any(marks[1::2] != _SPACE):
+            return None
+    parts = joined.replace(":", " ").split()
+    if len(parts) != 2 * len(features):
+        return None
+    try:
+        labels = np.array([tokens[0] for tokens in rows], dtype=np.float64)
+        indices = np.array(parts[0::2], dtype=np.int64)
+        values = np.array(parts[1::2], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    lengths = np.array([len(tokens) - 1 for tokens in rows], dtype=np.int64)
+    if not (np.all(np.isfinite(labels)) and np.all(np.isfinite(values))):
+        return None
+    if indices.size and indices.min() < 1:
+        return None
+    row_of = np.repeat(np.arange(lengths.size), lengths)
+    if np.any(np.diff(indices)[row_of[1:] == row_of[:-1]] <= 0):
+        return None
+    return labels, lengths, indices - 1, values
+
+
+class _Column:
+    """A 1-d array filled piece by piece, its capacity doubled when a piece does not fit."""
+
+    def __init__(self, dtype, capacity: int):
+        self.data = np.empty(max(capacity, 16), dtype=dtype)
+        self.size = 0
+
+    def extend(self, piece: np.ndarray) -> None:
+        end = self.size + piece.size
+        if end > self.data.size:
+            grown = np.empty(max(end, 2 * self.data.size), dtype=self.data.dtype)
+            grown[: self.size] = self.data[: self.size]
+            self.data = grown
+        self.data[self.size : end] = piece
+        self.size = end
+
+    def view(self) -> np.ndarray:
+        return self.data[: self.size]
+
+
+def _take_block(lines: Iterator[str]) -> list[str]:
+    """The next lines of ``lines`` up to the first that brings the block past BLOCK_CHARS."""
+    block: list[str] = []
+    size = 0
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size > BLOCK_CHARS:
+            break
+    return block
+
+
+def _dataset(
+    rows: SparseRows, raw_labels: np.ndarray, task: TaskKind, n_override: int | None
+) -> Dataset:
+    if task == "classification" and raw_labels.size:
+        raw_labels = _map_class_labels(raw_labels)
+    n = rows.width
+    if n_override is not None:
+        if n_override < n:
+            raise DataFormatError(
+                f"dimension override {n_override} is below the largest index {n}"
+            )
+        n = n_override
+    return Dataset(rows, raw_labels, n, task)
+
+
+def _parse(
+    source: Iterable[str],
+    task: TaskKind,
+    n_override: int | None,
+    rows_hint: int,
+    nonzeros_hint: int,
+) -> Dataset:
+    if task not in TASKS:
+        raise DataFormatError(f"unknown task {task!r}")
+    labels = _Column(np.float64, rows_hint)
+    lengths = _Column(np.int64, rows_hint)
+    indices = _Column(np.int64, nonzeros_hint)
+    values = _Column(np.float64, nonzeros_hint)
+    lines = iter(source)
+    lineno = 0
+    while block := _take_block(lines):
+        parsed = _parse_block(block)
+        if parsed is None:
+            # the line path parses this block and every line after it
+            rest, rest_labels = _parse_lines(itertools.chain(block, lines), lineno)
+            tail = SparseRows.of(rest)
+            parsed = (np.array(rest_labels), np.diff(tail.indptr), tail.indices, tail.values)
+        for column, piece in zip((labels, lengths, indices, values), parsed):
+            column.extend(piece)
+        lineno += len(block)
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths.view(), out=indptr[1:])
+    rows = SparseRows(indptr, indices.view(), values.view())
+    return _dataset(rows, labels.view(), task, n_override)
 
 
 def parse_libsvm(
@@ -200,54 +465,51 @@ def parse_libsvm(
     '#' starts a comment running to end of line; blank lines are skipped;
     fields are separated by spaces or tabs. The dimension is the largest
     index seen, unless ``n_override`` raises it (lowering is rejected).
+
+    Lines are read in blocks of about BLOCK_CHARS characters, and each
+    block's numbers are converted with one numpy call per column. From the
+    first block that holds a comment or anything malformed on, the line
+    path (:func:`parse_libsvm_lines`) parses instead, so errors and their
+    line numbers are the line path's own.
     """
+    return _parse(source, task, n_override, 0, 0)
+
+
+def parse_libsvm_lines(
+    source: Iterable[str] | IO[str],
+    task: TaskKind,
+    n_override: int | None = None,
+) -> Dataset:
+    """The line path alone: what :func:`parse_libsvm` must agree with."""
     if task not in TASKS:
         raise DataFormatError(f"unknown task {task!r}")
-    examples: list[SparseVector] = []
-    raw_labels: list[float] = []
-    max_index = 0
-    for lineno, line in enumerate(source, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        tokens = text.split()
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise DataFormatError(f"line {lineno}: non-numeric label {tokens[0]!r}") from None
-        if not math.isfinite(label):
-            raise DataFormatError(f"line {lineno}: non-finite label")
-        point = parse_row(tokens[1:], lineno)
-        max_index = max(max_index, point.max_index + 1)
-        examples.append(point)
-        raw_labels.append(label)
-
-    if task == "classification" and raw_labels:
-        raw_labels = _map_class_labels(raw_labels)
-
-    n = max_index
-    if n_override is not None:
-        if n_override < max_index:
-            raise DataFormatError(
-                f"dimension override {n_override} is below the largest index {max_index}"
-            )
-        n = n_override
-    return Dataset(tuple(examples), np.array(raw_labels), n, task)
+    examples, raw_labels = _parse_lines(source, 0)
+    return _dataset(SparseRows.of(examples), np.array(raw_labels), task, n_override)
 
 
 def load_libsvm(path: str, task: TaskKind, n_override: int | None = None) -> Dataset:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_libsvm(handle, task, n_override)
+    # The file is opened once. When it can be read twice, a first pass counts
+    # colons and newlines so the arrays are sized once; a pipe is read only
+    # once, and its arrays grow as they fill.
+    colons = newlines = 0
+    with open(path, "rb") as raw:
+        if raw.seekable():
+            for chunk in iter(lambda: raw.read(1 << 16), b""):
+                colons += chunk.count(b":")
+                newlines += chunk.count(b"\n")
+            raw.seek(0)
+        with io.TextIOWrapper(raw, encoding="utf-8") as handle:
+            return _parse(handle, task, n_override, newlines + 1, colons)
 
 
 def format_libsvm(data: Dataset) -> str:
     """Serialize a dataset back to libsvm text (1-based indices)."""
     lines = []
-    for ex, label in zip(data.examples, data.labels):
+    for ex, label in zip(data.examples, data.labels.tolist()):
         if data.task == "classification":
             head = "+1" if label > 0 else "-1"
         else:
-            head = repr(float(label))
+            head = repr(label)
         lines.append(head + format_row(ex) + "\n")
     return "".join(lines)
 

@@ -20,13 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .data import Dataset, SparseVector
+from .data import Dataset, SparseRows, SparseVector
 from .linalg import sym_eig
 from .rng import FOURIER_STREAM, NYSTROM_SAMPLE_STREAM, stream
+
+
+# Rows are mapped in blocks of about this many dense entries: block
+# height times the widest row a map builds (``block_width``).
+ROW_BLOCK_VALUES = 1 << 14
 
 
 class DegenerateKernelError(RuntimeError):
@@ -75,67 +81,97 @@ def _gaussian(
 
 @dataclass(frozen=True, eq=False)
 class Landmarks:
-    """A point set densified once, and the kernel that scores against it.
+    """A point set in CSR form, and the kernel that scores against it.
 
     The dense block is as wide as the points' largest index + 1, so its
-    size follows the points, not a declared dimension. A landmark map and
-    the model recovered from it share one instance.
+    size follows the points, not a declared dimension. It is built on
+    first use: ``width`` comes from the CSR indices alone, so a caller can
+    check it against a dimension before anything that large is allocated.
+    A landmark map and the model recovered from it share one instance.
     """
 
     kernel: GaussianKernel
-    points: tuple[SparseVector, ...]
-    _dense: np.ndarray = field(init=False, repr=False)
-    _norms: np.ndarray = field(init=False, repr=False)
+    points: SparseRows
 
     def __post_init__(self):
-        points = tuple(self.points)
-        dense = np.zeros((len(points), max((p.max_index for p in points), default=-1) + 1))
-        for i, p in enumerate(points):
-            if p.indices.size:
-                dense[i, p.indices] = p.values
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_dense", dense)
-        object.__setattr__(self, "_norms", np.einsum("ij,ij->i", dense, dense))
+        if not isinstance(self.points, SparseRows):
+            object.__setattr__(self, "points", SparseRows.of(self.points))
 
     def __len__(self) -> int:
         return len(self.points)
 
     @property
     def width(self) -> int:
-        return self._dense.shape[1]
+        return self.points.width
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        return self.points.dense(self.width)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        return self.points.sq_norms()
 
     def block(self) -> np.ndarray:
         """Symmetrized kernel matrix of the points against each other."""
-        norms = self._norms
-        block = _gaussian(
-            self.kernel, norms[:, np.newaxis], norms[np.newaxis, :], self._dense @ self._dense.T
-        )
+        dense, norms = self.dense, self.norms
+        block = _gaussian(self.kernel, norms[:, np.newaxis], norms[np.newaxis, :], dense @ dense.T)
         return (block + block.T) / 2.0
 
+    def rows(self, x: SparseRows) -> np.ndarray:
+        """The kernel values of each row of ``x`` against each point, one row per row.
+
+        The cross products gather the points' columns at the rows'
+        nonzeros, so a block costs its nonzeros times the number of points,
+        not the points' width. Each row adds its products one feature at a
+        time, in its own order, so its values do not depend on the block it
+        is mapped in. Coordinates beyond the points' width are zero for
+        every point, so they enter only the rows' norms.
+        """
+        columns = self.dense.T
+        starts = x.indptr[:-1] - x.indptr[0]
+        lengths = np.diff(x.indptr)
+        cross = np.zeros((len(x), len(self)))
+        for k in range(int(lengths.max(initial=0))):
+            live = np.flatnonzero(lengths > k)
+            at = starts[live] + k
+            inside = x.indices[at] < columns.shape[0]
+            live, at = live[inside], at[inside]
+            cross[live] += x.values[at, np.newaxis] * columns[x.indices[at]]
+        return _gaussian(self.kernel, x.sq_norms()[:, np.newaxis], self.norms, cross)
+
     def row(self, x: SparseVector) -> np.ndarray:
-        """The kernel values of ``x`` against each point, in order."""
-        dense = self._dense
-        if x.indices.size:
-            idx = x.indices
-            if int(idx[-1]) >= dense.shape[1]:
-                # Coordinates beyond the stored width are zero for every
-                # point, so they contribute nothing to the cross terms.
-                mask = idx < dense.shape[1]
-                cross = dense[:, idx[mask]] @ x.values[mask]
-            else:
-                cross = dense[:, idx] @ x.values
-        else:
-            cross = np.zeros(len(dense))
-        return _gaussian(self.kernel, self._norms, x.norm_sq(), cross)
+        """The kernel values of one point against each point, in order.
+
+        A decision scores one point at a time, so this gathers the
+        point's nonzero columns instead of densifying a one-row block:
+        the cost follows its nonzeros, not the points' width. It rounds
+        differently from :meth:`rows`.
+        """
+        dense = self.dense
+        idx, values = x.indices, x.values
+        if idx.size and int(idx[-1]) >= dense.shape[1]:
+            keep = idx < dense.shape[1]
+            idx, values = idx[keep], values[keep]
+        return _gaussian(self.kernel, self.norms, x.norm_sq(), dense[:, idx] @ values)
 
 
 class _TrainingRows:
-    """One dataset's rows, each mapped once by ``map_point``, then reused.
+    """One dataset's rows, mapped once in blocks by ``map_rows``, then reused.
 
     Each map defines its own ``training_row``; the benchmark wraps it there.
+    ``block_width`` is the widest row its ``map_rows`` builds.
     """
 
     _built: tuple | None = None
+
+    def map_all(self, rows: SparseRows) -> np.ndarray:
+        """Every row mapped, in blocks of about ROW_BLOCK_VALUES dense entries."""
+        matrix = np.empty((len(rows), self.dim))
+        step = max(1, ROW_BLOCK_VALUES // max(1, self.block_width))
+        for start in range(0, len(rows), step):
+            matrix[start : start + step] = self.map_rows(rows[start : start + step])
+        return matrix
 
     def training_matrix(self, data: Dataset) -> np.ndarray:
         return self._rows_for(data)[1]
@@ -143,9 +179,7 @@ class _TrainingRows:
     def _rows_for(self, data: Dataset) -> tuple:
         built = self._built
         if built is None or built[0] is not data:
-            matrix = np.empty((data.m, self.dim))
-            for i, x in enumerate(data.examples):
-                matrix[i] = self.map_point(x)
+            matrix = self.map_all(data.examples)
             # one assignment publishes rows and dataset together, never half-built
             built = self._built = (data, matrix, list(matrix))
         return built
@@ -175,8 +209,18 @@ class NystromMap(_TrainingRows):
     def dim(self) -> int:
         return int(self.inv_sqrt_eigs.size)
 
+    @property
+    def block_width(self) -> int:
+        # a kernel value per landmark, at least as many as the features
+        return len(self.landmarks)
+
+    def map_rows(self, rows: SparseRows) -> np.ndarray:
+        # einsum, like Landmarks.rows, so that a row maps to the same bits
+        # in a block of any height, map_point's one-row block included
+        return np.einsum("ij,jk->ik", self.landmarks.rows(rows), self._projector)
+
     def map_point(self, x: SparseVector) -> np.ndarray:
-        return self.landmarks.row(x) @ self._projector
+        return self.map_rows(SparseRows.of((x,)))[0]
 
     def training_row(self, data: Dataset, index: int) -> np.ndarray:
         return self._rows_for(data)[2][index]
@@ -203,6 +247,8 @@ class FourierMap(_TrainingRows):
     def dim(self) -> int:
         return int(self.offsets.size)
 
+    block_width = dim
+
     def map_point(self, x: SparseVector) -> np.ndarray:
         if x.indices.size:
             phase = self.frequencies[:, x.indices] @ x.values + self.offsets
@@ -210,6 +256,13 @@ class FourierMap(_TrainingRows):
             phase = self.offsets
         _counts["cosine"] += self.dim
         return self._scale * np.cos(phase)
+
+    def map_rows(self, rows: SparseRows) -> np.ndarray:
+        # row by row: a gather of the block's frequency columns is no faster
+        out = np.empty((len(rows), self.dim))
+        for i, x in enumerate(rows):
+            out[i] = self.map_point(x)
+        return out
 
     def training_row(self, data: Dataset, index: int) -> np.ndarray:
         return self._rows_for(data)[2][index]
@@ -244,7 +297,7 @@ def build_nystrom(
 
     rng = stream(seed, NYSTROM_SAMPLE_STREAM)
     indices = np.sort(rng.choice(data.m, size=sample_size, replace=False))
-    landmarks = Landmarks(kernel, tuple(data.examples[int(i)] for i in indices))
+    landmarks = Landmarks(kernel, data.examples.take(indices))
 
     eig = sym_eig(landmarks.block())
     # An absolute eps_d below machine noise cannot separate true rank from

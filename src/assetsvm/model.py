@@ -275,12 +275,9 @@ def load_model(source: str | IO[str]) -> Model:
             payload = NystromRecovery(alpha=alpha, landmarks=Landmarks(kernel, tuple(points)))
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
-        except MemoryError:
-            # the dense support block is as wide as the largest support index
-            raise ModelFormatError("the support points' dense block does not fit in memory") from None
 
     try:
-        return Model(
+        model = Model(
             task=task,
             approx=approx,
             gamma=gamma,
@@ -292,6 +289,16 @@ def load_model(source: str | IO[str]) -> Model:
         )
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
+    if approx == "nystrom":
+        # Model has checked the support width against n; only now is the
+        # dense support block built, before any decision needs it.
+        try:
+            payload.landmarks.dense
+        except MemoryError:
+            raise ModelFormatError(
+                "the support points' dense block does not fit in memory"
+            ) from None
+    return model
 
 
 def model_to_text(model: Model) -> str:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from assetsvm import ModelFormatError, eval_counts, load_model, reset_eval_counts
-from assetsvm.cli import main
+from assetsvm.cli import build_parser, main
 from helpers import matrix_dataset, sinusoid_dataset, two_moons, write_libsvm
 
 
@@ -255,6 +255,30 @@ class TestPredict:
         data.write_text("+1 1:0.5\n")
         assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_support_width_is_checked_before_densifying(self, tmp_path, capsys, monkeypatch):
+        # an 8 GB support block for a 2-dimensional model: the width check
+        # must reject the file before anything that size is allocated
+        model = tmp_path / "model.txt"
+        model.write_text(
+            "ASSET-MODEL v1\ntask classification\napprox nystrom\nsigma 1.0\n"
+            "lambda 0.001\nbias 0.0\nn 2\nd 1\ns 1\n"
+            "gamma 1.0\nalpha 1.0\nsupport 1000000000:1.0\n"
+        )
+        data = tmp_path / "one.svm"
+        data.write_text("+1 1:0.5\n")
+        zeros = np.zeros
+
+        def bounded_zeros(shape, *args, **kwargs):
+            if np.prod(shape) > 1_000_000:
+                raise MemoryError(f"cannot allocate {shape}")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", bounded_zeros)
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert "beyond input dimension 2" in err
+        assert "memory" not in err
 
     def test_nonfinite_expansion_coefficient_is_data_error(self, tmp_path, capsys):
         model = tmp_path / "model.txt"
@@ -547,6 +571,92 @@ class TestRegressionTraining:
         loaded = load_model(model)
         assert np.all(np.isfinite(loaded.gamma)) and np.isfinite(loaded.b)
         assert np.any(loaded.gamma)
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_namespaces_hold_only_their_own_defaults(self):
+        argv = {
+            "train": ["train", "--task", "class", "--approx", "fourier", "--d", "4",
+                      "--data", "t.svm", "--model", "m.txt"],
+            "predict": ["predict", "--model", "m.txt", "--data", "t.svm"],
+            "eval": ["eval", "--data", "t.svm", "--pred", "p.txt", "--task", "class"],
+        }
+        first = {name: vars(build_parser().parse_args(args)) for name, args in argv.items()}
+        assert first["predict"] == {
+            "command": "predict", "model": "m.txt", "data": "t.svm", "out": None
+        }
+        assert first["eval"] == {
+            "command": "eval", "data": "t.svm", "model": None, "pred": "p.txt",
+            "task": "class", "epsilon": 0.0,
+        }
+        assert first["train"]["sigma"] == 1.0 and "out" not in first["train"]
+        for name in ["eval", "train", "predict", "train", "eval", "predict"]:
+            assert vars(build_parser().parse_args(argv[name])) == first[name]
+
+
+class TestPipedInput:
+    """Data read from a pipe, which can be read only once."""
+
+    @staticmethod
+    def _run_on_stdin(args, source, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
+        )
+        with open(source) as handle:
+            return subprocess.run(
+                [sys.executable, "-m", "assetsvm", *args, "--data", "/dev/stdin"],
+                input=handle.read(), capture_output=True, text=True,
+                env=env, cwd=str(tmp_path), timeout=120,
+            )
+
+    def test_predict_reads_every_piped_point(self, moons_files, tmp_path):
+        train, test = moons_files
+        model = str(tmp_path / "model.txt")
+        assert main(train_args(train, model, **{"--s": "16", "--epochs": "1"})) == 0
+        from_file = str(tmp_path / "file.txt")
+        assert main(["predict", "--model", model, "--data", test, "--out", from_file]) == 0
+        result = self._run_on_stdin(["predict", "--model", model], test, tmp_path)
+        assert result.returncode == 0
+        assert len(result.stdout.splitlines()) == 300
+        assert result.stdout == open(from_file).read()
+
+    def test_train_from_a_pipe_writes_the_same_model(self, moons_files, tmp_path):
+        train, _ = moons_files
+        model = str(tmp_path / "file-model.txt")
+        assert main(train_args(train, model, **{"--s": "16", "--epochs": "1"})) == 0
+        piped = str(tmp_path / "pipe-model.txt")
+        args = train_args(train, piped, **{"--s": "16", "--epochs": "1"})
+        del args[args.index("--data") : args.index("--data") + 2]
+        result = self._run_on_stdin(args, train, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert open(piped, "rb").read() == open(model, "rb").read()
+
+
+class TestNumericFailures:
+    def test_overflowing_feature_value_is_numeric_error(self, tmp_path):
+        # the squared norm of 1e200 overflows; in a process of its own, so
+        # that the CLI's handling, not the test runner's warning filter,
+        # turns it into exit 3
+        train = tmp_path / "big.svm"
+        train.write_text("+1 1:1e200\n-1 1:1.0\n+1 1:2.0\n-1 1:3.0\n")
+        model = tmp_path / "model.txt"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "assetsvm", "train", "--task", "class", "--approx",
+             "nystrom", "--s", "4", "--data", str(train), "--model", str(model)],
+            capture_output=True, text=True, env=env, cwd=str(tmp_path),
+        )
+        assert result.returncode == 3
+        assert "numeric failure" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not model.exists()
 
 
 class TestConsoleEntry:

@@ -1,16 +1,21 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assetsvm import (
     DataFormatError,
     Dataset,
     SparseVector,
+    data,
     format_libsvm,
     parse_libsvm,
     split,
 )
+from assetsvm.data import parse_libsvm_lines
 from helpers import planted_dataset
 
 
@@ -205,3 +210,156 @@ class TestSplit:
             split(ds, (0.5, 0.5, 0.5), seed=0)
         with pytest.raises(ValueError):
             split(ds, (1.5, -0.5, 0.0), seed=0)
+
+
+class TestRowViews:
+    def test_rows_are_views_of_the_csr_arrays(self):
+        ds = parse_text("+1 1:0.5 3:1.2\n-1\n+1 2:2.0\n")
+        rows = ds.examples
+        assert rows.indptr.tolist() == [0, 2, 2, 3]
+        assert [x.indices.tolist() for x in rows] == [[0, 2], [], [1]]
+        assert rows[-1].values.base is rows.values.base
+        assert rows[1:] == ds.subset([1, 2]).examples
+
+    def test_iterating_rows_skips_validation(self, monkeypatch):
+        ds = parse_text("+1 1:0.5 3:1.2\n-1 2:1.0\n")
+        calls = []
+        monkeypatch.setattr(SparseVector, "__post_init__", lambda self: calls.append(self))
+        assert [x.max_index for x in ds.examples] == [2, 1]
+        assert ds.examples[0].norm_sq() == 0.25 + 1.2 * 1.2
+        assert calls == []
+
+    def test_dataset_from_vectors_matches_parsed(self):
+        ds = parse_text("0.5 1:2.0 4:-1.0\n-2 3:1.5\n", task="regression")
+        rebuilt = Dataset(tuple(ds.examples), ds.labels, ds.n, ds.task)
+        assert rebuilt == ds
+
+
+def _outcome(parse, source, task, n_override):
+    """The parsed dataset, or the type and message of the error."""
+    try:
+        return parse(source, task, n_override=n_override)
+    except Exception as exc:  # noqa: BLE001 - both parsers must fail alike
+        return type(exc), str(exc)
+
+
+def _both(text, task="classification", n_override=None):
+    block = _outcome(parse_libsvm, io.StringIO(text), task, n_override)
+    line = _outcome(parse_libsvm_lines, io.StringIO(text), task, n_override)
+    return block, line
+
+
+ANOMALIES = [
+    "nan", "inf", "1e999", "x", "notafeature", "1:nan", "1:-inf", "2:1e999", "0:1",
+    "-1:2", "1:2:3", ":", "1:", ":1", "1e0:1", "+3:1", "1_0:2", "3:x", "5:1 2:1",
+    "4:1 4:2", "99999999999999999999:1", "1:0x10", "#", "# 1:2",
+]
+
+
+@st.composite
+def libsvm_texts(draw):
+    """Mostly well-formed lines, with blank lines, comments and anomalies mixed in."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        if kind == "comment":
+            lines.append("#" + draw(st.sampled_from(["", " note", " 1:2", "#"])))
+            continue
+        tokens = [draw(st.sampled_from(["+1", "-1", "1", "0", "0.25", "-3", "1e-300"]))]
+        for index in sorted(draw(st.sets(st.integers(1, 12), max_size=5))):
+            value = draw(st.floats(allow_nan=False, allow_infinity=False))
+            tokens.append(f"{index}:{value!r}")
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(ANOMALIES))
+        line = draw(st.sampled_from([" ", "\t", "  "])).join(tokens)
+        if draw(st.integers(0, 9)) == 0:
+            line += " # trailing"
+        lines.append(line)
+    return "".join(line + "\n" for line in lines)
+
+
+class TestBlockParser:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=libsvm_texts(),
+        task=st.sampled_from(["classification", "regression"]),
+        n_override=st.sampled_from([None, 0, 5, 20]),
+        block=st.sampled_from([1, 16, 64, data.BLOCK_CHARS]),
+    )
+    def test_block_and_line_paths_agree(self, text, task, n_override, block):
+        with mock.patch.object(data, "BLOCK_CHARS", block):
+            block_result, line_result = _both(text, task, n_override)
+        assert block_result == line_result
+
+    @pytest.mark.parametrize("lineno", [4, 6], ids=["first-of-block", "last-of-block"])
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("+1 1:nan\n", "non-finite feature value in '1:nan'"),
+            ("+1 2:1 1\n", "feature token '1' lacks ':'"),
+            ("+1 0:0.5\n", "feature index 0 must be >= 1"),
+            ("x9 1:0.5\n", "non-numeric label 'x9'"),
+            ("+1 2:1 1:\n", "non-numeric feature token '1:'"),
+        ],
+    )
+    def test_anomaly_at_block_edges_reports_its_line(self, line, expected, lineno):
+        # nine-character lines in blocks of three: lines 4-6 make the second block
+        good = "+1 1:0.5\n"
+        lines = [good] * 9
+        lines[lineno - 1] = line
+        with mock.patch.object(data, "BLOCK_CHARS", 3 * len(good) - 1):
+            block_result, line_result = _both("".join(lines))
+        assert block_result == line_result
+        assert block_result == (DataFormatError, f"line {lineno}: {expected}")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("+1 1:2:3 4\n", "line 1: non-numeric feature token '1:2:3'"),
+            ("+1 1:2:3\n-1 4\n", "line 1: non-numeric feature token '1:2:3'"),
+            ("+1 1: :2\n", "line 1: non-numeric feature token '1:'"),
+        ],
+    )
+    def test_colon_miscounts_do_not_cancel(self, text, expected):
+        # a token with two colons beside one with none, or an empty head
+        # beside an empty tail, still has one colon per token on average
+        block_result, line_result = _both(text)
+        assert block_result == line_result == (DataFormatError, expected)
+
+    @pytest.mark.parametrize("lineno", [4, 6], ids=["first-of-block", "last-of-block"])
+    def test_comment_at_block_edges_parses_all_lines(self, lineno):
+        good = "+1 1:0.5\n"
+        lines = [good.replace("0.5", str(k)) for k in range(1, 10)]
+        lines[lineno - 1] = "-1 1:5 #\n"
+        with mock.patch.object(data, "BLOCK_CHARS", 3 * len(good) - 1):
+            block_result, line_result = _both("".join(lines))
+        assert block_result == line_result
+        assert block_result.m == 9
+        assert block_result.labels[lineno - 1] == -1.0
+
+
+@st.composite
+def canonical_texts(draw):
+    """libsvm text exactly as format_libsvm writes it."""
+    task = draw(st.sampled_from(["classification", "regression"]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        if task == "classification":
+            head = draw(st.sampled_from(["+1", "-1"]))
+        else:
+            head = repr(draw(finite))
+        indices = sorted(draw(st.sets(st.integers(1, 40), max_size=6)))
+        lines.append(head + "".join(f" {i}:{draw(finite)!r}" for i in indices) + "\n")
+    return task, "".join(lines)
+
+
+class TestFormatRoundtrip:
+    @settings(max_examples=100, deadline=None)
+    @given(canonical_texts())
+    def test_format_inverts_parse(self, case):
+        task, text = case
+        assert format_libsvm(parse_text(text, task)) == text

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from assetsvm import (
+    Dataset,
     DegenerateKernelError,
     FourierMap,
     GaussianKernel,
+    Landmarks,
+    SparseRows,
+    SparseVector,
     build_fourier,
     build_nystrom,
     eval_counts,
     feature_objective,
     gram_matrix,
     kernel_eval,
+    kernels,
     reset_eval_counts,
     sym_eig,
 )
@@ -343,3 +348,71 @@ class TestEvalCounters:
         fmap.map_point(dense_vector([1.0, 2.0, 3.0]))
         assert eval_counts()["cosine"] == 33
         assert eval_counts()["kernel"] == 0
+
+
+class TestRowBlocks:
+    def test_nystrom_rows_do_not_depend_on_block_height(self):
+        ds = planted_dataset(37, 3, seed=30)
+        nmap = build_nystrom(ds, GaussianKernel(0.9), 9, 7, seed=2)
+        whole = nmap.map_rows(ds.examples)
+        for height in (1, 2, 5, 36):
+            blocks = [nmap.map_rows(ds.examples[i : i + height]) for i in range(0, ds.m, height)]
+            np.testing.assert_array_equal(np.vstack(blocks), whole)
+        np.testing.assert_array_equal(nmap.training_matrix(ds), whole)
+
+    def test_uneven_sparse_rows_do_not_depend_on_block_height(self):
+        # rows of 0 to 6 nonzeros over 40 columns; the landmarks are the
+        # first 10 rows, so later rows reach past the landmarks' width
+        rng = np.random.default_rng(33)
+        points = []
+        for size in [3, 6, 1, 4, 2, 5, 3, 6, 2, 4, 0, 6, 1, 0, 5, 2, 6, 3]:
+            columns = np.sort(rng.choice(12 if len(points) < 10 else 40, size, replace=False))
+            points.append(SparseVector(columns, rng.normal(size=size)))
+        kernel = GaussianKernel(0.4)
+        landmarks = Landmarks(kernel, points[:10])
+        rows = SparseRows.of(points)
+        whole = landmarks.rows(rows)
+        for height in (1, 2, 7):
+            blocks = [landmarks.rows(rows[i : i + height]) for i in range(0, len(rows), height)]
+            np.testing.assert_array_equal(np.vstack(blocks), whole)
+        for x, row in zip(points, whole):
+            exact = [kernel_eval(kernel, x, p) for p in landmarks.points]
+            np.testing.assert_allclose(row, exact, rtol=1e-12)
+
+    def test_features_beyond_the_landmark_width_enter_the_norms(self):
+        # landmarks use columns 0 and 1 of 5; the queries reach column 4
+        rng = np.random.default_rng(31)
+        values = rng.normal(size=(12, 2))
+        points = tuple(SparseVector(np.array([0, 1]), v) for v in values)
+        ds = Dataset(points, np.where(values[:, 0] > 0, 1.0, -1.0), 5, "classification")
+        kernel = GaussianKernel(0.6)
+        nmap = build_nystrom(ds, kernel, 6, 6, seed=1)
+        assert nmap.landmarks.width == 2
+        queries = [dense_vector(rng.normal(size=5)) for _ in range(4)]
+        rows = nmap.landmarks.rows(SparseRows.of(queries))
+        for x, row in zip(queries, rows):
+            exact = [kernel_eval(kernel, x, p) for p in nmap.landmarks.points]
+            np.testing.assert_allclose(row, exact, rtol=1e-12)
+            np.testing.assert_allclose(nmap.landmarks.row(x), row, rtol=1e-12)
+
+    @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
+    def test_block_size_leaves_rows_unchanged(self, approx, monkeypatch):
+        ds = planted_dataset(25, 4, seed=32)
+        fmap = _build_map(approx, ds)
+        whole = fmap.map_all(ds.examples)
+        monkeypatch.setattr(kernels, "ROW_BLOCK_VALUES", 1)
+        np.testing.assert_array_equal(fmap.map_all(ds.examples), whole)
+        for i, x in enumerate(ds.examples):
+            np.testing.assert_array_equal(fmap.map_point(x), whole[i])
+
+    def test_landmark_width_needs_no_dense_block(self, monkeypatch):
+        wide = SparseVector(np.array([10**12]), np.array([1.0]))
+
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate {shape}")
+
+        landmarks = Landmarks(GaussianKernel(1.0), (wide,))
+        monkeypatch.setattr(np, "zeros", no_memory)
+        assert landmarks.width == 10**12 + 1
+        with pytest.raises(MemoryError):
+            landmarks.dense
