@@ -174,15 +174,11 @@ class _TrainingRows:
         return matrix
 
     def training_matrix(self, data: Dataset) -> np.ndarray:
-        return self._rows_for(data)[1]
-
-    def _rows_for(self, data: Dataset) -> tuple:
         built = self._built
         if built is None or built[0] is not data:
-            matrix = self.map_all(data.examples)
-            # one assignment publishes rows and dataset together, never half-built
-            built = self._built = (data, matrix, list(matrix))
-        return built
+            # one assignment publishes matrix and dataset together, never half-built
+            built = self._built = (data, self.map_all(data.examples))
+        return built[1]
 
 
 @dataclass(eq=False)
@@ -223,7 +219,7 @@ class NystromMap(_TrainingRows):
         return self.map_rows(SparseRows.of((x,)))[0]
 
     def training_row(self, data: Dataset, index: int) -> np.ndarray:
-        return self._rows_for(data)[2][index]
+        return self.training_matrix(data)[index]
 
 
 @dataclass(eq=False)
@@ -265,7 +261,7 @@ class FourierMap(_TrainingRows):
         return out
 
     def training_row(self, data: Dataset, index: int) -> np.ndarray:
-        return self._rows_for(data)[2][index]
+        return self.training_matrix(data)[index]
 
 
 FeatureMap = Union[NystromMap, FourierMap]

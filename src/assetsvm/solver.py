@@ -18,7 +18,12 @@ updated from the step's own score and a cached squared row norm, so the
 (1 - eta * lambda) shrink and the ball projection only change a. The tail
 average is kept lazily as p * v + q * u (as in averaged SGD, Xu 2011): a step
 whose loss is inactive changes only scalars, and an active step adds one
-multiple of its row to v and one to u.
+multiple of its row to v and one number to its example's pending
+coefficient. The pending coefficient-times-row terms are added into u once,
+after the last step; a checkpoint adds them into a copy and leaves the
+solver state as it was. Each chunk of draws gets its step sizes, example
+indices and labels from numpy in one pass, with the same floating-point
+operations as the step-by-step formulas.
 
 Training is deterministic: identical (data, params, seed) produce
 bit-identical results.
@@ -37,9 +42,10 @@ from .kernels import FeatureMap
 from .rng import DG_STREAM, XI_STREAM, stream
 
 VARIANTS = ("averaged", "strongly_convex")
-# Example draws are taken from the XI stream this many at a time; the chunk
-# size leaves the drawn sequence unchanged and only caps the memory it holds.
-XI_CHUNK = 4096
+# Random draws are taken from a stream this many at a time; the chunk size
+# leaves the drawn sequence unchanged and only caps the memory it holds (the
+# solver also holds each chunk's step sizes, examples and labels as lists).
+XI_CHUNK = 1024
 # The iterate is kept as a scale a times a vector v. Once |a| leaves
 # [RENORM_BELOW, 1], a is multiplied into v. The averaged iterate p*v + q*u
 # cancels terms up to 1/|a| times its size, so this floor caps that loss at
@@ -216,12 +222,13 @@ def estimate_dg(
     labels = data.labels
     bias_term = 1.0 if region.include_bias else 0.0
     total = 0.0
-    for u in rng.random(params.dg_sample):
-        i = int(u * m)
-        d = loss_direction(0.0, float(labels[i]), data.task, params.epsilon)
-        if d:
-            row = feature_map.training_row(data, i)
-            total += d * d * (float(np.dot(row, row)) + bias_term)
+    for first in range(0, params.dg_sample, XI_CHUNK):
+        for u in rng.random(min(XI_CHUNK, params.dg_sample - first)).tolist():
+            i = int(u * m)
+            d = loss_direction(0.0, float(labels[i]), data.task, params.epsilon)
+            if d:
+                row = feature_map.training_row(data, i)
+                total += d * d * (float(np.dot(row, row)) + bias_term)
     dg_sq = total / params.dg_sample
     if dg_sq == 0.0:
         return GradientStats(math.sqrt(params.lam) * region.gamma_radius)
@@ -238,6 +245,15 @@ def _fold_scale(a: float, v: np.ndarray, p: float, q: float, u: np.ndarray) -> f
         u += (p / q) * v
     v *= a
     return float(np.dot(v, v))
+
+
+def _settled(u: np.ndarray, pending: list, rows: list) -> np.ndarray:
+    """A new vector: ``u`` plus each pending coefficient times its example's row."""
+    u = u.copy()
+    for w, row in zip(pending, rows):
+        if w:
+            u += w * row
+    return u
 
 
 def asset_train(
@@ -267,7 +283,7 @@ def asset_train(
     stats = None if strongly else estimate_dg(feature_map, data, params, region)
 
     m = data.m
-    labels = data.labels.tolist()
+    labels = data.labels
     task = data.task
     eps = params.epsilon
     lam = params.lam
@@ -287,7 +303,8 @@ def asset_train(
     sqrt = math.sqrt
     dot = np.dot
 
-    # gamma = a * v with ||v||^2 = v_sq; avg_gamma = p * v + q * u.
+    # gamma = a * v with ||v||^2 = v_sq; avg_gamma = p * v + q * (u + pending
+    # row multiples), where example i's pending multiple is pending[i] * row i.
     dim = feature_map.dim
     a = 1.0
     v = np.zeros(dim)
@@ -296,6 +313,7 @@ def asset_train(
     p = 0.0
     q = 1.0
     u = np.zeros(dim)
+    pending = [0.0] * m
     avg_b = 0.0
     eta_sum = 0.0
 
@@ -304,20 +322,20 @@ def asset_train(
     next_check = min(checkpoint_every, total) if emitting else total + 1
 
     for first in range(1, total + 1, XI_CHUNK):
-        draws = xi_rng.random(min(XI_CHUNK, total + 1 - first)).tolist()
-        for j, draw in enumerate(draws, first):
-            if strongly:
-                eta = 1.0 / (lam * j)
-            else:
-                eta = dx / (dg * sqrt(j))
-            xi = int(draw * m)
+        stop = min(first + XI_CHUNK, total + 1)
+        draws = xi_rng.random(stop - first)
+        steps = np.arange(first, stop, dtype=np.float64)
+        etas = 1.0 / (lam * steps) if strongly else dx / (dg * np.sqrt(steps))
+        xis = (draws * m).astype(np.intp)
+        chunk = zip(range(first, stop), etas.tolist(), xis.tolist(), labels[xis].tolist())
+        for j, eta, xi, y in chunk:
             row = rows[xi]
             if row is None:
                 row = fetch(data, xi)
                 rows[xi] = row
                 row_sq[xi] = float(dot(row, row))
             s = float(dot(row, v))
-            d = loss_direction(a * s + b, labels[xi], task, eps)
+            d = loss_direction(a * s + b, y, task, eps)
             a *= 1.0 - eta * lam
             if abs(a) < renorm_below:
                 v_sq = _fold_scale(a, v, p, q, u)
@@ -328,7 +346,7 @@ def asset_train(
                 v -= c * row
                 v_sq += c * (c * row_sq[xi] - 2.0 * s)
                 if p:
-                    u += (p * c / q) * row
+                    pending[xi] += p * c / q
             nrm_sq = a * a * v_sq
             if not nrm_sq <= radius_sq:
                 nrm = abs(a) * sqrt(v_sq)
@@ -364,13 +382,13 @@ def asset_train(
                 if j < avg_start:
                     on_checkpoint(j, a * v, float(b))
                 else:
-                    on_checkpoint(j, p * v + q * u, float(avg_b))
+                    on_checkpoint(j, p * v + q * _settled(u, pending, rows), float(avg_b))
                 next_check = min(j + checkpoint_every, total) if j < total else total + 1
 
     if strongly:
         gamma, b = a * v, 0.0
     else:
-        gamma, b = p * v + q * u, float(avg_b)
+        gamma, b = p * v + q * _settled(u, pending, rows), float(avg_b)
     if not (np.all(np.isfinite(gamma)) and math.isfinite(b)):
         raise FloatingPointError("training produced a non-finite model")
     return gamma, b

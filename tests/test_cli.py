@@ -66,6 +66,22 @@ class TestTrain:
                 outputs.append((mh.read(), ch.read()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("approx, size", [("nystrom", "--s"), ("fourier", "--d")])
+    def test_metrics_leave_the_model_bytes_unchanged(self, approx, size, moons_files, tmp_path):
+        train, test = moons_files
+        # checkpoints every 50 steps, most of them inside the averaging window
+        args = [
+            "train", "--task", "class", "--approx", approx, size, "32", "--sigma", "2.0",
+            "--epochs", "2", "--nbar", "200", "--data", train,
+        ]
+        plain, monitored = str(tmp_path / "plain.txt"), str(tmp_path / "monitored.txt")
+        metrics = str(tmp_path / "metrics.csv")
+        assert main([*args, "--model", plain]) == 0
+        assert main([*args, "--model", monitored, "--metrics", metrics, "--eval-data", test]) == 0
+        with open(metrics) as handle:
+            assert len(handle.readlines()) == 1 + 20
+        assert open(monitored, "rb").read() == open(plain, "rb").read()
+
     def test_metrics_rows_strictly_increasing(self, moons_files, tmp_path):
         train, test = moons_files
         model = str(tmp_path / "model.txt")

@@ -16,7 +16,7 @@ from assetsvm import (
     split,
 )
 from assetsvm.data import parse_libsvm_lines
-from helpers import planted_dataset
+from helpers import matrix_dataset, planted_dataset
 
 
 def parse_text(text, task="classification", n_override=None):
@@ -198,6 +198,25 @@ class TestSplit:
                 for ex, label in zip(ds.examples, ds.labels)
             ]
             assert sorted(seen) == sorted(original)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(1, 40),
+        weights=st.tuples(*[st.integers(0, 5)] * 3).filter(any),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parts_are_disjoint_and_cover_the_dataset(self, m, weights, seed):
+        # example i has the single feature value i + 1, so it names its index
+        X = np.arange(1.0, m + 1.0)[:, np.newaxis]
+        ds = matrix_dataset(X, np.where(np.arange(m) % 2, 1.0, -1.0), "classification")
+        fractions = tuple(w / sum(weights) for w in weights)
+        try:
+            parts = split(ds, fractions, seed=seed)
+        except ValueError as err:
+            assert "empty" in str(err)
+            return
+        indices = [[int(ex.values[0]) - 1 for ex in part.examples] for part in parts]
+        assert sorted(i for part in indices for i in part) == list(range(m))
 
     def test_empty_train_rejected(self):
         ds = planted_dataset(4, 2, seed=0)

@@ -260,8 +260,11 @@ class TestNystromRow:
         ds = planted_dataset(10, 3, seed=11)
         nmap = build_nystrom(ds, GaussianKernel(1.0), 5, 5, seed=0)
         first = nmap.training_row(ds, 4)
+        reset_eval_counts()
         second = nmap.training_row(ds, 4)
-        assert first is second
+        # both are views of the one mapped matrix; the second maps nothing
+        assert first.base is second.base is nmap.training_matrix(ds)
+        assert eval_counts()["kernel"] == 0
         np.testing.assert_array_equal(first, nmap.map_point(ds.examples[4]))
 
     def test_row_cache_tolerates_concurrent_readers(self):
@@ -303,7 +306,7 @@ class TestTrainingRows:
         matrix = fmap.training_matrix(ds)
         rows = [fmap.training_row(ds, i) for i in range(ds.m)]
         assert fmap.training_matrix(ds) is matrix
-        assert all(fmap.training_row(ds, i) is row for i, row in enumerate(rows))
+        assert all(row.base is matrix for row in rows)
         per_row = len(fmap.landmarks) if approx == "nystrom" else fmap.dim
         counts = eval_counts()
         assert counts["kernel"] + counts["cosine"] == ds.m * per_row

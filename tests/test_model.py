@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assetsvm import (
     Dataset,
@@ -235,6 +237,43 @@ class TestSaveLoad:
         monkeypatch.setattr(np, "empty", no_memory)
         with pytest.raises(ModelFormatError, match="memory"):
             load_model(io.StringIO(text))
+
+
+class TestSaveLoadProperty:
+    @staticmethod
+    def assert_roundtrip_decides_alike(model, seed):
+        sink = io.StringIO()
+        save_model(model, sink)
+        loaded = load_model(io.StringIO(sink.getvalue()))
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            x = dense_vector(rng.normal(scale=2.0, size=model.input_dim))
+            assert decide(loaded, x) == decide(model, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 12),
+        n=st.integers(1, 4),
+        sigma=st.floats(0.2, 4.0),
+        b=st.floats(-5.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nystrom_decisions_survive_save_and_load(self, m, n, sigma, b, seed):
+        model, _ = nystrom_model(planted_dataset(m, n, seed=seed), b=b, sigma=sigma, seed=seed)
+        self.assert_roundtrip_decides_alike(model, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        dim=st.integers(1, 24),
+        sigma=st.floats(0.01, 4.0),
+        b=st.floats(-5.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+        task=st.sampled_from(["classification", "regression"]),
+    )
+    def test_fourier_decisions_survive_save_and_load(self, n, dim, sigma, b, seed, task):
+        model = fourier_model(n=n, dim=dim, b=b, sigma=sigma, seed=seed, task=task)
+        self.assert_roundtrip_decides_alike(model, seed)
 
 
 class TestModelType:

@@ -70,6 +70,17 @@ def exact_map(data, sigma=1.0, seed=0):
     return build_nystrom(data, GaussianKernel(sigma), data.m, data.m, seed=seed)
 
 
+class RowsOnly:
+    """A feature map with only the two members the solver needs."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.dim = rows[0].size
+
+    def training_row(self, data, index):
+        return self.rows[index]
+
+
 class TestEstimateDg:
     def test_unit_rows_with_bias_give_root_two(self):
         # exact-kernel feature rows have unit norm, and every hinge
@@ -104,6 +115,27 @@ class TestEstimateDg:
             row = nmap.training_row(ds, i)
             total += float(row @ row) + 1.0
         assert stats.dg == pytest.approx(math.sqrt(total / 200), abs=1e-12)
+
+    def test_probe_draws_in_chunks_with_unchanged_bits(self, monkeypatch):
+        ds = planted_dataset(25, 3, seed=2)
+        nmap = build_nystrom(ds, GaussianKernel(1.0), 12, 12, seed=3)
+        region = feasible_region("classification", 0.5, ds.labels)
+        params = SolverParams(lam=0.5, iterations=10, dg_sample=200, seed=7)
+        whole = estimate_dg(nmap, ds, params, region).dg
+        sizes = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size):
+                sizes.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(solver, "XI_CHUNK", 7)
+        monkeypatch.setattr(solver, "stream", lambda seed, sid: Recording(stream(seed, sid)))
+        assert estimate_dg(nmap, ds, params, region).dg == whole
+        assert max(sizes) <= 7 and sum(sizes) == params.dg_sample
 
 
 class TestAssetStep:
@@ -292,6 +324,39 @@ class TestAssetTrain:
         gamma_folded, b_folded = asset_train(nmap, ds, params, region)
         assert np.linalg.norm(gamma_folded - gamma) <= 1e-12 * np.linalg.norm(gamma)
         assert b_folded == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("rows_only", [False, True])
+    @pytest.mark.parametrize("renorm_below", [solver.RENORM_BELOW, math.inf])
+    @pytest.mark.parametrize("variant", ["averaged", "strongly_convex"])
+    def test_checkpoints_leave_the_model_unchanged(
+        self, variant, renorm_below, rows_only, monkeypatch
+    ):
+        ds = planted_dataset(20, 4, seed=5)
+        nmap = exact_map(ds)
+        fmap = RowsOnly([nmap.training_row(ds, i) for i in range(ds.m)]) if rows_only else nmap
+        strongly = variant == "strongly_convex"
+        # the small ball of test_folding_every_step_matches_default, whose
+        # projection fires inside the averaging window
+        region = feasible_region("classification", 4.0, ds.labels, include_bias=not strongly)
+        params = SolverParams(lam=4.0, iterations=2000, avg_start=100, variant=variant, seed=6)
+        monkeypatch.setattr(solver, "RENORM_BELOW", renorm_below)
+        folds = []
+        fold = solver._fold_scale
+        monkeypatch.setattr(
+            solver, "_fold_scale", lambda a, v, p, q, u: folds.append(p) or fold(a, v, p, q, u)
+        )
+        gamma, b = asset_train(fmap, ds, params, region)
+        if not strongly:
+            # the window folds the average's share of v into u at least once
+            assert any(folds)
+        seen = []
+        gamma_ck, b_ck = asset_train(
+            fmap, ds, params, region,
+            checkpoint_every=1, on_checkpoint=lambda j, g, c: seen.append(j),
+        )
+        assert seen == list(range(1, params.iterations + 1))
+        np.testing.assert_array_equal(gamma_ck, gamma)
+        assert b_ck == b
 
     def test_deterministic_given_seed(self):
         ds = planted_dataset(20, 3, seed=11)
