@@ -283,7 +283,6 @@ def asset_train(
     stats = None if strongly else estimate_dg(feature_map, data, params, region)
 
     m = data.m
-    labels = data.labels
     task = data.task
     eps = params.epsilon
     lam = params.lam
@@ -327,7 +326,7 @@ def asset_train(
         steps = np.arange(first, stop, dtype=np.float64)
         etas = 1.0 / (lam * steps) if strongly else dx / (dg * np.sqrt(steps))
         xis = (draws * m).astype(np.intp)
-        chunk = zip(range(first, stop), etas.tolist(), xis.tolist(), labels[xis].tolist())
+        chunk = zip(range(first, stop), etas.tolist(), xis.tolist(), data.labels[xis].tolist())
         for j, eta, xi, y in chunk:
             row = rows[xi]
             if row is None:

@@ -238,8 +238,6 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="memory"):
             load_model(io.StringIO(text))
 
-
-class TestSaveLoadProperty:
     @staticmethod
     def assert_roundtrip_decides_alike(model, seed):
         sink = io.StringIO()
