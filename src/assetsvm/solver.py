@@ -20,10 +20,12 @@ average is kept lazily as p * v + q * u (as in averaged SGD, Xu 2011): a step
 whose loss is inactive changes only scalars, and an active step adds one
 multiple of its row to v and one number to its example's pending
 coefficient. The pending coefficient-times-row terms are added into u once,
-after the last step; a checkpoint adds them into a copy and leaves the
-solver state as it was. Each chunk of draws gets its step sizes, example
-indices and labels from numpy in one pass, with the same floating-point
-operations as the step-by-step formulas.
+after the last step. A checkpoint inside the window reads them from a
+separate running sum, which adds one row multiple for each coefficient
+changed since the previous checkpoint; checkpoints never change the solver
+state. Each chunk of draws gets its step sizes, example indices and labels
+from numpy in one pass, with the same floating-point operations as the
+step-by-step formulas.
 
 Training is deterministic: identical (data, params, seed) produce
 bit-identical results.
@@ -247,13 +249,25 @@ def _fold_scale(a: float, v: np.ndarray, p: float, q: float, u: np.ndarray) -> f
     return float(np.dot(v, v))
 
 
+def _add_pending(
+    target: np.ndarray, pending: list, since: np.ndarray | None, rows: list
+) -> np.ndarray:
+    """Add ``(pending[i] - since[i]) * row i`` into ``target`` for each example
+    whose coefficient differs, in example order, and return ``pending`` as an
+    array. ``since=None`` stands for all zeros.
+    """
+    now = np.array(pending)
+    delta = now if since is None else now - since
+    for i in np.flatnonzero(delta).tolist():
+        target += delta[i] * rows[i]
+    return now
+
+
 def _settled(u: np.ndarray, pending: list, rows: list) -> np.ndarray:
     """A new vector: ``u`` plus each pending coefficient times its example's row."""
-    u = u.copy()
-    for w, row in zip(pending, rows):
-        if w:
-            u += w * row
-    return u
+    settled = u.copy()
+    _add_pending(settled, pending, None, rows)
+    return settled
 
 
 def asset_train(
@@ -304,6 +318,9 @@ def asset_train(
 
     # gamma = a * v with ||v||^2 = v_sq; avg_gamma = p * v + q * (u + pending
     # row multiples), where example i's pending multiple is pending[i] * row i.
+    # Checkpoints before the last one read the pending multiples from shadow,
+    # the sum of those of the coefficients ``seen`` at the previous
+    # checkpoint; the model never reads it.
     dim = feature_map.dim
     a = 1.0
     v = np.zeros(dim)
@@ -313,6 +330,8 @@ def asset_train(
     q = 1.0
     u = np.zeros(dim)
     pending = [0.0] * m
+    shadow = np.zeros(dim)
+    seen = None
     avg_b = 0.0
     eta_sum = 0.0
 
@@ -380,6 +399,9 @@ def asset_train(
             if j == next_check:
                 if j < avg_start:
                     on_checkpoint(j, a * v, float(b))
+                elif j < total:
+                    seen = _add_pending(shadow, pending, seen, rows)
+                    on_checkpoint(j, p * v + q * (u + shadow), float(avg_b))
                 else:
                     on_checkpoint(j, p * v + q * _settled(u, pending, rows), float(avg_b))
                 next_check = min(j + checkpoint_every, total) if j < total else total + 1

@@ -160,6 +160,15 @@ class TestTrain:
         model = str(tmp_path / "model.txt")
         assert main(train_args(train, model, **{"--iters": "50", "--epochs": "2"})) == 1
 
+    @pytest.mark.parametrize("value", ["0", "10000001", "100000000000"])
+    def test_dg_sample_out_of_range_is_usage_error(self, value, moons_files, tmp_path, capsys):
+        train, _ = moons_files
+        model = str(tmp_path / "model.txt")
+        assert main(train_args(train, model, **{"--dg-sample": value})) == 1
+        err = capsys.readouterr().err
+        assert "--dg-sample" in err and "Traceback" not in err
+        assert not os.path.exists(model)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
         "flag", ["--sigma", "--lambda", "--B", "--epochs", "--epsilon", "--eps-d"]

@@ -1,4 +1,5 @@
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -178,26 +179,50 @@ class TestSplit:
         for x, y in zip(a, b):
             assert x == y
 
+    def test_partition_property(self):
+        rng = np.random.default_rng(5)
+        ds = planted_dataset(23, 4, seed=2)
+        for seed in range(10):
+            f = rng.dirichlet([1.0, 1.0, 1.0])
+            if round(23 * f[1]) + round(23 * f[2]) >= 23:
+                continue
+            train, valid, test = split(ds, tuple(f), seed=seed)
+            pools = [train, valid, test]
+            assert sum(p.m for p in pools) == ds.m
+            # every original example appears exactly once across the parts
+            seen = []
+            for part in pools:
+                for ex, label in zip(part.examples, part.labels):
+                    seen.append((tuple(ex.indices.tolist()), tuple(ex.values.tolist()), label))
+            original = [
+                (tuple(ex.indices.tolist()), tuple(ex.values.tolist()), label)
+                for ex, label in zip(ds.examples, ds.labels)
+            ]
+            assert sorted(seen) == sorted(original)
+
     @settings(max_examples=100, deadline=None)
     @given(
         m=st.integers(1, 40),
         weights=st.tuples(*[st.integers(0, 5)] * 3).filter(any),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_partition_property(self, m, weights, seed):
-        # example i has the single feature value i + 1, so it names its index
-        X = np.arange(1.0, m + 1.0)[:, np.newaxis]
+    def test_parts_are_disjoint_and_cover_the_dataset(self, m, weights, seed):
+        # row i is [i+1, 0, -(i+1), 2(i+1)]: its first value names its index,
+        # and its four stored entries exercise the CSR row pointers
+        k = np.arange(1.0, m + 1.0)
+        X = np.column_stack([k, np.zeros(m), -k, 2.0 * k])
         ds = matrix_dataset(X, np.where(np.arange(m) % 2, 1.0, -1.0), "classification")
         fractions = tuple(w / sum(weights) for w in weights)
-        try:
-            parts = split(ds, fractions, seed=seed)
-        except ValueError as err:
-            assert "empty" in str(err)
+        n_held_out = sum(int(math.floor(m * f + 0.5)) for f in fractions[1:])
+        if m - n_held_out <= 0:
+            with pytest.raises(ValueError, match="empty"):
+                split(ds, fractions, seed=seed)
             return
-        # the parts' index sets are disjoint and cover the dataset
+        parts = split(ds, fractions, seed=seed)
         indices = [[int(ex.values[0]) - 1 for ex in part.examples] for part in parts]
         assert sorted(i for part in indices for i in part) == list(range(m))
         for part, index in zip(parts, indices):
+            assert list(part.examples) == [ds.examples[i] for i in index]
             np.testing.assert_array_equal(part.labels, ds.labels[index])
 
     def test_empty_train_rejected(self):

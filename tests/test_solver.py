@@ -358,6 +358,32 @@ class TestAssetTrain:
         np.testing.assert_array_equal(gamma_ck, gamma)
         assert b_ck == b
 
+    @pytest.mark.parametrize("renorm_below", [solver.RENORM_BELOW, math.inf])
+    def test_window_checkpoints_match_shorter_runs(self, renorm_below, monkeypatch):
+        # a checkpoint at step j inside the window reports the average that a
+        # run of j steps returns; the last one is the returned model itself
+        ds = planted_dataset(20, 4, seed=5)
+        nmap = exact_map(ds)
+        region = feasible_region("classification", 4.0, ds.labels)
+        monkeypatch.setattr(solver, "RENORM_BELOW", renorm_below)
+        params = SolverParams(lam=4.0, iterations=700, avg_start=100, seed=6)
+        seen = []
+        gamma, b = asset_train(
+            nmap, ds, params, region,
+            checkpoint_every=37, on_checkpoint=lambda j, g, c: seen.append((j, g, c)),
+        )
+        j, g, c = seen.pop()
+        assert j == params.iterations
+        np.testing.assert_array_equal(g, gamma)
+        assert c == b
+        in_window = [(j, g, c) for j, g, c in seen if j >= params.avg_start]
+        assert len(in_window) > 10
+        for j, g, c in in_window:
+            shorter = SolverParams(lam=4.0, iterations=j, avg_start=100, seed=6)
+            gamma_j, b_j = asset_train(nmap, ds, shorter, region)
+            assert np.linalg.norm(g - gamma_j) <= 1e-12 * np.linalg.norm(gamma_j)
+            assert c == b_j
+
     def test_deterministic_given_seed(self):
         ds = planted_dataset(20, 3, seed=11)
         nmap = exact_map(ds)
