@@ -26,7 +26,6 @@ from .kernels import (
     build_fourier,
     build_nystrom,
     eval_counts,
-    kernel_eval,
     reset_eval_counts,
 )
 from .linalg import ConvergenceError, EigenDecomposition, sym_eig

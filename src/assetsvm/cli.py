@@ -359,13 +359,14 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "variant", None) is not None:
         args.variant = VARIANT_BY_FLAG[args.variant]
     try:
-        if args.command == "train":
-            # an overflow or NaN in training ends in exit 3, never a NaN model
-            with np.errstate(over="raise", invalid="raise"):
+        # an overflow or NaN in any command ends in exit 3, never a NaN
+        # model or score; predict and eval write nothing before that point
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "train":
                 return cmd_train(args)
-        if args.command == "predict":
-            return cmd_predict(args)
-        return cmd_eval(args)
+            if args.command == "predict":
+                return cmd_predict(args)
+            return cmd_eval(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

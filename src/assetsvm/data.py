@@ -78,27 +78,6 @@ class SparseVector:
         """Largest 0-based index present, or -1 for the zero vector."""
         return int(self.indices[-1]) if self.indices.size else -1
 
-    def norm_sq(self) -> float:
-        return float(np.dot(self.values, self.values))
-
-    def dot(self, other: "SparseVector") -> float:
-        _, ia, ib = np.intersect1d(
-            self.indices, other.indices, assume_unique=True, return_indices=True
-        )
-        if ia.size == 0:
-            return 0.0
-        return float(np.dot(self.values[ia], other.values[ib]))
-
-    def sq_dist(self, other: "SparseVector") -> float:
-        d = self.norm_sq() + other.norm_sq() - 2.0 * self.dot(other)
-        return max(d, 0.0)
-
-    def to_dense(self, n: int) -> np.ndarray:
-        out = np.zeros(n)
-        if self.indices.size:
-            out[self.indices] = self.values
-        return out
-
 
 class SparseRows(Sequence[SparseVector]):
     """Consecutive sparse rows in CSR form.
@@ -184,17 +163,6 @@ class SparseRows(Sequence[SparseVector]):
         np.cumsum(lengths, out=indptr[1:])
         picks = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return SparseRows(indptr, self.indices[picks], self.values[picks])
-
-    def dense(self, width: int) -> np.ndarray:
-        """The rows as a (len x width) array; features at index >= width are dropped."""
-        out = np.zeros((len(self), width))
-        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
-        cols, values = self.indices, self.values
-        if self.width > width:
-            keep = cols < width
-            rows, cols, values = rows[keep], cols[keep], values[keep]
-        out[rows, cols] = values
-        return out
 
     def sq_norms(self) -> np.ndarray:
         """Each row's squared Euclidean norm.

@@ -9,8 +9,8 @@ approximate kernel values, <row(x), row(y)> ~ k(x, y):
 * ``FourierMap`` draws random cosine features whose inner products are
   unbiased estimates of the (shift-invariant) Gaussian kernel.
 
-``Landmarks`` is the one batched kernel evaluation: the landmark map, a
-landmark model's decisions and the exact kernel matrix all go through it.
+``Landmarks`` is the one kernel evaluation: the landmark map, a landmark
+model's decisions and the exact kernel matrix all go through it.
 
 Module-level evaluation counters support cost assertions in tests: every
 kernel value and every cosine feature computed anywhere is counted.
@@ -63,31 +63,34 @@ class GaussianKernel:
             raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
 
 
-def kernel_eval(kernel: GaussianKernel, s: SparseVector, t: SparseVector) -> float:
-    """Single kernel value in (0, 1]."""
-    _counts["kernel"] += 1
-    return math.exp(-kernel.sigma * s.sq_dist(t))
-
-
 def _gaussian(
-    kernel: GaussianKernel, norms_a: np.ndarray, norms_b: np.ndarray | float, cross: np.ndarray
+    cross: np.ndarray, norms_a: np.ndarray | float, norms_b: np.ndarray | float
 ) -> np.ndarray:
-    # exp(-sigma * ||a - b||^2) from squared norms and cross products, which
-    # broadcast to the shape of ``cross``; every entry is one counted kernel
-    # value. Cancellation can leave a tiny negative distance, clipped to 0.
+    # exp(min(2 sigma <a,b> - sigma ||a||^2 - sigma ||b||^2, 0)) = exp(-sigma ||a - b||^2),
+    # from pre-scaled inputs: ``cross`` holds 2 sigma <a,b> and the norms
+    # -sigma ||.||^2, broadcast to its shape. The exponent is built in
+    # ``cross``, which is overwritten and returned; every entry is one
+    # counted kernel value. Cancellation can leave a tiny positive
+    # exponent, clipped to 0.
     _counts["kernel"] += cross.size
-    return np.exp(-kernel.sigma * np.maximum(norms_a + norms_b - 2.0 * cross, 0.0))
+    cross += norms_a
+    cross += norms_b
+    np.minimum(cross, 0.0, out=cross)
+    return np.exp(cross, out=cross)
 
 
 @dataclass(frozen=True, eq=False)
 class Landmarks:
     """A point set in CSR form, and the kernel that scores against it.
 
-    The dense block is as wide as the points' largest index + 1, so its
-    size follows the points, not a declared dimension. It is built on
-    first use: ``width`` comes from the CSR indices alone, so a caller can
-    check it against a dimension before anything that large is allocated.
-    A landmark map and the model recovered from it share one instance.
+    Every kernel value is :func:`_gaussian` over two pre-scaled tables:
+    ``table``, the points times 2 sigma with one column per point, and
+    ``neg_norms``, -sigma times each point's squared norm. The table has a
+    row per feature up to the points' largest index, so its size follows
+    the points, not a declared dimension. It is built on first use:
+    ``width`` comes from the CSR indices alone, so a caller can check it
+    against a dimension before anything that large is allocated. A
+    landmark map and the model recovered from it share one instance.
     """
 
     kernel: GaussianKernel
@@ -105,55 +108,61 @@ class Landmarks:
         return self.points.width
 
     @cached_property
-    def dense(self) -> np.ndarray:
-        return self.points.dense(self.width)
+    def table(self) -> np.ndarray:
+        """2 sigma times the points, as a (width x len) array: column i is point i."""
+        points = self.points
+        table = np.zeros((self.width, len(points)))
+        owners = np.repeat(np.arange(len(points)), np.diff(points.indptr))
+        table[points.indices, owners] = (2.0 * self.kernel.sigma) * points.values
+        return table
 
     @cached_property
-    def norms(self) -> np.ndarray:
-        return self.points.sq_norms()
+    def neg_norms(self) -> np.ndarray:
+        return -self.kernel.sigma * self.points.sq_norms()
 
     def block(self) -> np.ndarray:
         """Symmetrized kernel matrix of the points against each other."""
-        dense, norms = self.dense, self.norms
-        block = _gaussian(self.kernel, norms[:, np.newaxis], norms[np.newaxis, :], dense @ dense.T)
+        block = self.rows(self.points)
         return (block + block.T) / 2.0
 
     def rows(self, x: SparseRows) -> np.ndarray:
         """The kernel values of each row of ``x`` against each point, one row per row.
 
-        The cross products gather the points' columns at the rows'
-        nonzeros, so a block costs its nonzeros times the number of points,
-        not the points' width. Each row adds its products one feature at a
-        time, in its own order, so its values do not depend on the block it
-        is mapped in. Coordinates beyond the points' width are zero for
-        every point, so they enter only the rows' norms.
+        The cross products gather the table's rows at the rows' nonzeros,
+        so a block costs its nonzeros times the number of points, not the
+        points' width. Each row adds its products one feature at a time,
+        in its own order, so its values do not depend on the block it is
+        mapped in. Coordinates beyond the points' width are zero for every
+        point, so they enter only the rows' norms.
         """
-        columns = self.dense.T
+        table = self.table
         starts = x.indptr[:-1] - x.indptr[0]
         lengths = np.diff(x.indptr)
         cross = np.zeros((len(x), len(self)))
         for k in range(int(lengths.max(initial=0))):
             live = np.flatnonzero(lengths > k)
             at = starts[live] + k
-            inside = x.indices[at] < columns.shape[0]
+            inside = x.indices[at] < len(table)
             live, at = live[inside], at[inside]
-            cross[live] += x.values[at, np.newaxis] * columns[x.indices[at]]
-        return _gaussian(self.kernel, x.sq_norms()[:, np.newaxis], self.norms, cross)
+            cross[live] += x.values[at, np.newaxis] * table[x.indices[at]]
+        norms = -self.kernel.sigma * x.sq_norms()
+        return _gaussian(cross, norms[:, np.newaxis], self.neg_norms)
 
     def row(self, x: SparseVector) -> np.ndarray:
         """The kernel values of one point against each point, in order.
 
-        A decision scores one point at a time, so this gathers the
-        point's nonzero columns instead of densifying a one-row block:
-        the cost follows its nonzeros, not the points' width. It rounds
-        differently from :meth:`rows`.
+        A decision scores one point at a time, so this gathers the table
+        rows at the point's nonzeros instead of densifying a one-row
+        block: the cost follows its nonzeros, not the points' width. It
+        rounds differently from :meth:`rows`.
         """
-        dense = self.dense
+        table = self.table
         idx, values = x.indices, x.values
-        if idx.size and int(idx[-1]) >= dense.shape[1]:
-            keep = idx < dense.shape[1]
+        norm = -self.kernel.sigma * values.dot(values)
+        if idx.size and idx[-1] >= len(table):
+            keep = idx < len(table)
             idx, values = idx[keep], values[keep]
-        return _gaussian(self.kernel, self.norms, x.norm_sq(), dense[:, idx] @ values)
+        return _gaussian(values.dot(table.take(idx, axis=0)), self.neg_norms, norm)
 
 
 class _TrainingRows:
@@ -246,12 +255,16 @@ class FourierMap(_TrainingRows):
     block_width = dim
 
     def map_point(self, x: SparseVector) -> np.ndarray:
+        # one buffer: the phase, then its cosine, then the scaled feature
         if x.indices.size:
-            phase = self.frequencies[:, x.indices] @ x.values + self.offsets
+            phase = self.frequencies[:, x.indices] @ x.values
+            phase += self.offsets
         else:
-            phase = self.offsets
+            phase = self.offsets.copy()
         _counts["cosine"] += self.dim
-        return self._scale * np.cos(phase)
+        np.cos(phase, out=phase)
+        phase *= self._scale
+        return phase
 
     def map_rows(self, rows: SparseRows) -> np.ndarray:
         # row by row: a gather of the block's frequency columns is no faster

@@ -105,7 +105,7 @@ def recover_alpha(nmap: NystromMap, gamma: np.ndarray) -> NystromRecovery:
     them back through the landmark feature rows reproduces gamma, so the
     expansion scores agree with the feature-space decision function. The
     cost is one (len(landmarks) x dim) product, paid once at save time.
-    The model shares the map's landmarks, densified once.
+    The model shares the map's landmarks and their kernel table.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.shape != (nmap.dim,):
@@ -125,9 +125,9 @@ def decide(model: Model, x: SparseVector) -> float:
             f"point uses feature index {x.max_index + 1} beyond model dimension {model.input_dim}"
         )
     if model.approx == "fourier":
-        return float(np.dot(model.payload.map_point(x), model.gamma)) + model.b
+        return float(model.payload.map_point(x).dot(model.gamma)) + model.b
     payload = model.payload
-    return float(np.dot(payload.landmarks.row(x), payload.alpha)) + model.b
+    return float(payload.landmarks.row(x).dot(payload.alpha)) + model.b
 
 
 def predict_label(model: Model, x: SparseVector) -> int:
@@ -291,12 +291,12 @@ def load_model(source: str | IO[str]) -> Model:
         raise ModelFormatError(str(exc)) from None
     if approx == "nystrom":
         # Model has checked the support width against n; only now is the
-        # dense support block built, before any decision needs it.
+        # support points' kernel table built, before any decision needs it.
         try:
-            payload.landmarks.dense
+            payload.landmarks.table
         except MemoryError:
             raise ModelFormatError(
-                "the support points' dense block does not fit in memory"
+                "the support points' kernel table does not fit in memory"
             ) from None
     return model
 

@@ -2,14 +2,47 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from assetsvm import Dataset, SparseVector, format_libsvm
+from assetsvm import Dataset, GaussianKernel, SparseVector, format_libsvm
 
 
 def dense_vector(values) -> SparseVector:
     values = np.asarray(values, dtype=np.float64)
     return SparseVector(np.arange(values.size, dtype=np.int64), values)
+
+
+def to_dense(x: SparseVector, n: int) -> np.ndarray:
+    """The vector as a length-n array; n must exceed its largest index."""
+    out = np.zeros(n)
+    out[x.indices] = x.values
+    return out
+
+
+def norm_sq(x: SparseVector) -> float:
+    return float(np.dot(x.values, x.values))
+
+
+def dot(s: SparseVector, t: SparseVector) -> float:
+    n = max(s.max_index, t.max_index) + 1
+    return float(np.dot(to_dense(s, n), to_dense(t, n)))
+
+
+def sq_dist(s: SparseVector, t: SparseVector) -> float:
+    n = max(s.max_index, t.max_index) + 1
+    diff = to_dense(s, n) - to_dense(t, n)
+    return float(np.dot(diff, diff))
+
+
+def kernel_eval(kernel: GaussianKernel, s: SparseVector, t: SparseVector) -> float:
+    """exp(-sigma * ||s - t||^2) from the difference of the dense vectors.
+
+    A reference for tests: it shares no code with the program's kernel and
+    leaves its evaluation counters alone.
+    """
+    return math.exp(-kernel.sigma * sq_dist(s, t))
 
 
 def matrix_dataset(X: np.ndarray, labels: np.ndarray, task: str) -> Dataset:

@@ -23,14 +23,20 @@ from assetsvm import (
     feasible_region,
     feature_objective,
     gram_matrix,
-    kernel_eval,
     kernel_objective,
     recover_alpha,
     reset_eval_counts,
     solve_exact,
 )
 from assetsvm.cli import main as cli_main
-from helpers import dense_vector, planted_dataset, sinusoid_dataset, two_moons, write_libsvm
+from helpers import (
+    dense_vector,
+    kernel_eval,
+    planted_dataset,
+    sinusoid_dataset,
+    two_moons,
+    write_libsvm,
+)
 
 LAM = 0.1
 SIGMA = 1.0

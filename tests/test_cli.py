@@ -39,6 +39,18 @@ def train_args(train, model, **overrides):
     return args
 
 
+def run_module(args, cwd, stdin=None):
+    """``python -m assetsvm *args`` in a process of its own, outside pytest's warning filter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "assetsvm", *args],
+        input=stdin, capture_output=True, text=True, env=env, cwd=str(cwd), timeout=120,
+    )
+
+
 class TestTrain:
     def test_two_moons_low_error(self, moons_files, tmp_path, capsys):
         train, test = moons_files
@@ -441,10 +453,15 @@ class TestEval:
         assert captured.out == ""
         assert "error:" in captured.err
 
-    @pytest.mark.parametrize("task", ["class", "regress"])
-    def test_model_pred_and_metrics_errors_agree(self, task, tmp_path, capsys):
-        # the last metrics row scores the returned model on --eval-data, so
-        # all three error computations see the same decision values
+    @staticmethod
+    def _three_errors(task, approx, tmp_path):
+        """Train with ``approx`` flags, then the error from eval --model, from
+        eval --pred over predict's output, and from the last metrics row.
+
+        The last metrics row scores the returned model on --eval-data.
+        The two eval outputs are left in captured stdout; the metrics
+        row's error column is returned.
+        """
         if task == "class":
             train_set, eval_set = two_moons(300, seed=2), two_moons(200, seed=3)
             flags = ["--sigma", "2.0"]
@@ -455,7 +472,7 @@ class TestEval:
         data = write_libsvm(tmp_path / "eval.svm", eval_set)
         model, preds, metrics = (str(tmp_path / f) for f in ("model.txt", "preds.txt", "m.csv"))
         code = main(
-            ["train", "--task", task, "--approx", "fourier", "--d", "32", "--lambda", "0.001",
+            ["train", "--task", task, *approx, "--lambda", "0.001",
              "--epochs", "3", "--checks-per-epoch", "1", "--data", train, "--model", model,
              "--eval-data", data, "--metrics", metrics, *flags]
         )
@@ -464,11 +481,26 @@ class TestEval:
         eps = flags[-2:] if task == "regress" else []
         assert main(["eval", "--model", model, "--data", data, *eps]) == 0
         assert main(["eval", "--pred", preds, "--data", data, "--task", task, *eps]) == 0
-        from_model, from_pred = capsys.readouterr().out.split()
         with open(metrics) as handle:
             from_metrics = handle.read().splitlines()[-1].split(",")[-1]
+        return from_metrics
+
+    @pytest.mark.parametrize("task", ["class", "regress"])
+    def test_model_pred_and_metrics_errors_agree(self, task, tmp_path, capsys):
+        from_metrics = self._three_errors(task, ["--approx", "fourier", "--d", "32"], tmp_path)
+        from_model, from_pred = capsys.readouterr().out.split()
         assert from_model == from_pred == from_metrics
         assert float(from_model) > 0.0
+
+    @pytest.mark.parametrize("task", ["class", "regress"])
+    def test_landmark_model_pred_and_metrics_errors_agree(self, task, tmp_path, capsys):
+        from_metrics = self._three_errors(task, ["--approx", "nystrom", "--s", "40"], tmp_path)
+        from_model, from_pred = capsys.readouterr().out.split()
+        assert from_model == from_pred
+        assert float(from_model) > 0.0
+        # the metrics score landmark feature rows, a model its kernel
+        # expansion: the two round differently
+        assert float(from_metrics) == pytest.approx(float(from_model), rel=1e-9)
 
     @pytest.mark.parametrize("task", ["class", "regress"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -627,16 +659,8 @@ class TestPipedInput:
 
     @staticmethod
     def _run_on_stdin(args, source, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
-        )
         with open(source) as handle:
-            return subprocess.run(
-                [sys.executable, "-m", "assetsvm", *args, "--data", "/dev/stdin"],
-                input=handle.read(), capture_output=True, text=True,
-                env=env, cwd=str(tmp_path), timeout=120,
-            )
+            return run_module([*args, "--data", "/dev/stdin"], tmp_path, stdin=handle.read())
 
     def test_predict_reads_every_piped_point(self, moons_files, tmp_path):
         train, test = moons_files
@@ -669,32 +693,57 @@ class TestNumericFailures:
         train = tmp_path / "big.svm"
         train.write_text("+1 1:1e200\n-1 1:1.0\n+1 1:2.0\n-1 1:3.0\n")
         model = tmp_path / "model.txt"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
-        )
-        result = subprocess.run(
-            [sys.executable, "-m", "assetsvm", "train", "--task", "class", "--approx",
-             "nystrom", "--s", "4", "--data", str(train), "--model", str(model)],
-            capture_output=True, text=True, env=env, cwd=str(tmp_path),
+        result = run_module(
+            ["train", "--task", "class", "--approx", "nystrom", "--s", "4",
+             "--data", str(train), "--model", str(model)],
+            tmp_path,
         )
         assert result.returncode == 3
         assert "numeric failure" in result.stderr
         assert "Traceback" not in result.stderr
         assert not model.exists()
 
+    @pytest.mark.parametrize(
+        "approx, size, value",
+        [("fourier", ["--d", "8"], "1e308"), ("nystrom", ["--s", "4"], "1e200")],
+        ids=["fourier", "nystrom"],
+    )
+    def test_overflowing_point_is_numeric_error(self, approx, size, value, tmp_path, capsys):
+        # a finite point whose cosine phase or squared norm overflows: both
+        # commands that score it end in exit 3 and write nothing, where
+        # they used to print nan or a kernel value of 0 with exit 0
+        train = tmp_path / "train.svm"
+        train.write_text("+1 1:0.1\n-1 1:0.9\n+1 1:0.2\n-1 1:0.8\n")
+        point = tmp_path / "point.svm"
+        point.write_text(f"+1 1:{value}\n")
+        model, out = str(tmp_path / "model.txt"), tmp_path / "preds.txt"
+        code = main(
+            ["train", "--task", "class", "--approx", approx, *size,
+             "--data", str(train), "--model", model]
+        )
+        assert code == 0
+        for args in (
+            ["predict", "--model", model, "--data", str(point), "--out", str(out)],
+            ["predict", "--model", model, "--data", str(point)],
+            ["eval", "--model", model, "--data", str(point)],
+        ):
+            assert main(args) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("numeric failure: overflow encountered in ")
+        assert not out.exists()
+        # outside pytest's filter too: one line on stderr, no numpy warning
+        result = run_module(
+            ["predict", "--model", model, "--data", str(point), "--out", str(out)], tmp_path
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("numeric failure: overflow encountered in ")
+        assert not out.exists()
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
-        )
-        result = subprocess.run(
-            [sys.executable, "-m", "assetsvm", "eval", "--data", "missing.svm", "--model", "missing.txt"],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=str(tmp_path),
-        )
+        result = run_module(["eval", "--data", "missing.svm", "--model", "missing.txt"], tmp_path)
         assert result.returncode == 2

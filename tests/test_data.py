@@ -17,7 +17,7 @@ from assetsvm import (
     split,
 )
 from assetsvm.data import parse_libsvm_lines
-from helpers import matrix_dataset, planted_dataset
+from helpers import dot, matrix_dataset, norm_sq, planted_dataset, sq_dist, to_dense
 
 
 def parse_text(text, task="classification", n_override=None):
@@ -139,12 +139,12 @@ class TestSparseVector:
     def test_dot_and_distance(self):
         a = SparseVector(np.array([0, 2]), np.array([1.0, 2.0]))
         b = SparseVector(np.array([1, 2]), np.array([3.0, 4.0]))
-        assert a.dot(b) == 8.0
-        assert a.sq_dist(b) == pytest.approx(1.0 + 9.0 + 4.0)
+        assert dot(a, b) == 8.0
+        assert sq_dist(a, b) == pytest.approx(1.0 + 9.0 + 4.0)
 
     def test_to_dense(self):
         v = SparseVector(np.array([1]), np.array([2.0]))
-        assert v.to_dense(3).tolist() == [0.0, 2.0, 0.0]
+        assert to_dense(v, 3).tolist() == [0.0, 2.0, 0.0]
 
 
 class TestDatasetInvariants:
@@ -252,7 +252,7 @@ class TestRowViews:
         calls = []
         monkeypatch.setattr(SparseVector, "__post_init__", lambda self: calls.append(self))
         assert [x.max_index for x in ds.examples] == [2, 1]
-        assert ds.examples[0].norm_sq() == 0.25 + 1.2 * 1.2
+        assert norm_sq(ds.examples[0]) == 0.25 + 1.2 * 1.2
         assert calls == []
 
     def test_dataset_from_vectors_matches_parsed(self):

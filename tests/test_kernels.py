@@ -16,12 +16,11 @@ from assetsvm import (
     eval_counts,
     feature_objective,
     gram_matrix,
-    kernel_eval,
     kernels,
     reset_eval_counts,
     sym_eig,
 )
-from helpers import dense_vector, matrix_dataset, planted_dataset
+from helpers import dense_vector, kernel_eval, matrix_dataset, planted_dataset
 
 
 class TestKernelEval:
@@ -331,12 +330,6 @@ class TestTrainingRows:
 
 
 class TestEvalCounters:
-    def test_kernel_eval_increments_by_one(self):
-        reset_eval_counts()
-        k = GaussianKernel(1.0)
-        kernel_eval(k, dense_vector([1.0]), dense_vector([2.0]))
-        assert eval_counts()["kernel"] == 1
-
     def test_map_point_counts_one_batch(self):
         ds = planted_dataset(10, 3, seed=12)
         nmap = build_nystrom(ds, GaussianKernel(1.0), 7, 7, seed=0)
@@ -418,4 +411,4 @@ class TestRowBlocks:
         monkeypatch.setattr(np, "zeros", no_memory)
         assert landmarks.width == 10**12 + 1
         with pytest.raises(MemoryError):
-            landmarks.dense
+            landmarks.table

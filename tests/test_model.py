@@ -18,7 +18,6 @@ from assetsvm import (
     build_nystrom,
     decide,
     eval_counts,
-    kernel_eval,
     load_model,
     predict_label,
     recover_alpha,
@@ -26,7 +25,7 @@ from assetsvm import (
     save_model,
 )
 from assetsvm.model import model_to_text
-from helpers import dense_vector, matrix_dataset, planted_dataset
+from helpers import dense_vector, kernel_eval, matrix_dataset, planted_dataset, to_dense
 
 
 def nystrom_model(ds, gamma=None, b=0.25, lam=0.1, sigma=1.0, sample=None, seed=0):
@@ -149,6 +148,52 @@ class TestDecide:
         model = fourier_model(n=3)
         with pytest.raises(ValueError, match="dimension"):
             decide(model, dense_vector([1.0, 1.0, 1.0, 1.0]))
+
+
+class TestDecideAgainstNumpy:
+    """decide against a dense numpy recomputation that shares no code with it.
+
+    Each decision must match the reference to within 1e-12 times the sum of
+    the absolute values of its terms, the bias included.
+    """
+
+    @staticmethod
+    def check(model, x, terms):
+        want = float(np.sum(terms)) + model.b
+        scale = float(np.sum(np.abs(terms))) + abs(model.b)
+        assert abs(decide(model, x) - want) <= 1e-12 * scale
+
+    @staticmethod
+    def queries(n, rng):
+        return {
+            "dense": dense_vector(rng.normal(size=n)),
+            "sparse": SparseVector(np.array([1, 3]), rng.normal(size=2)),
+            "wide sparse": SparseVector(np.array([0, n - 2]), rng.normal(size=2)),
+            "empty": SparseVector(np.zeros(0, dtype=np.int64), np.zeros(0)),
+        }
+
+    def test_landmark_model(self):
+        # the supports use columns 1 and 3 of 8, so the dense and the wide
+        # sparse queries reach past the supports' width
+        rng = np.random.default_rng(40)
+        values = rng.normal(size=(20, 2))
+        rows = tuple(SparseVector(np.array([1, 3]), v) for v in values)
+        ds = Dataset(rows, np.where(values[:, 0] > 0.0, 1.0, -1.0), 8, "classification")
+        model, _ = nystrom_model(ds, sample=12, sigma=0.7, seed=4)
+        assert model.payload.landmarks.width == 4
+        supports = np.stack([to_dense(p, 8) for p in model.payload.landmarks.points])
+        for x in self.queries(8, rng).values():
+            gaps = to_dense(x, 8) - supports
+            kernel = np.exp(-model.sigma * np.sum(gaps * gaps, axis=1))
+            self.check(model, x, model.payload.alpha * kernel)
+
+    def test_fourier_model(self):
+        model = fourier_model(n=6, dim=48, seed=10)
+        fmap = model.payload
+        rng = np.random.default_rng(41)
+        for x in self.queries(6, rng).values():
+            phase = fmap.frequencies @ to_dense(x, 6) + fmap.offsets
+            self.check(model, x, model.gamma * np.sqrt(2.0 / fmap.dim) * np.cos(phase))
 
 
 class TestSaveLoad:
