@@ -11,7 +11,6 @@ import functools
 import math
 import sys
 import time
-from typing import IO
 
 import numpy as np
 
@@ -224,12 +223,12 @@ def cmd_train(config: argparse.Namespace) -> int:
             raise DataFormatError("training data has no features")
         feature_map = build_fourier(data.n, config.dim, kernel, seed=config.seed)
 
-    metrics_handle: IO[str] | None = None
+    # checkpoint rows are kept in memory and written just before the model,
+    # so a run that fails leaves no metrics file behind
+    metrics_rows: list[str] = []
     on_checkpoint = None
     checkpoint_every = None
     if config.metrics is not None:
-        metrics_handle = open(config.metrics, "w", encoding="utf-8", newline="")
-        metrics_handle.write("iteration,seconds,objective,eval_error\n")
         checkpoint_every = max(1, round(data.m / config.checks_per_epoch))
         if eval_data is not None:
             # not training_matrix: the map caches one dataset, the training set
@@ -247,20 +246,16 @@ def cmd_train(config: argparse.Namespace) -> int:
                 err_text = repr(err)
             else:
                 err_text = ""
-            metrics_handle.write(f"{j},{seconds!r},{objective!r},{err_text}\n")
+            metrics_rows.append(f"{j},{seconds!r},{objective!r},{err_text}\n")
 
-    try:
-        gamma, b = asset_train(
-            feature_map,
-            data,
-            params,
-            region,
-            checkpoint_every=checkpoint_every,
-            on_checkpoint=on_checkpoint,
-        )
-    finally:
-        if metrics_handle is not None:
-            metrics_handle.close()
+    gamma, b = asset_train(
+        feature_map,
+        data,
+        params,
+        region,
+        checkpoint_every=checkpoint_every,
+        on_checkpoint=on_checkpoint,
+    )
 
     if config.approx == "nystrom":
         payload: object = recover_alpha(feature_map, gamma)
@@ -276,6 +271,10 @@ def cmd_train(config: argparse.Namespace) -> int:
         input_dim=data.n,
         payload=payload,
     )
+    if config.metrics is not None:
+        with open(config.metrics, "w", encoding="utf-8", newline="") as handle:
+            handle.write("iteration,seconds,objective,eval_error\n")
+            handle.writelines(metrics_rows)
     save_model(model, config.model)
     return EXIT_OK
 
@@ -288,7 +287,7 @@ def cmd_predict(config: argparse.Namespace) -> int:
         value = decide(model, x)
         if model.task == "classification":
             # the tie rule of predict_label, without a second decision
-            lines.append(f"{1 if value >= 0.0 else -1:+d} {value!r}\n")
+            lines.append(f"{'+1' if value >= 0.0 else '-1'} {value!r}\n")
         else:
             lines.append(f"{value!r}\n")
     text = "".join(lines)

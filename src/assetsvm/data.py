@@ -132,10 +132,17 @@ class SparseRows(Sequence[SparseVector]):
         return SparseVector.view(self.indices[lo:hi], self.values[lo:hi])
 
     def __iter__(self) -> Iterator[SparseVector]:
+        # SparseVector.view, inlined: the slot descriptors set the fields of
+        # the frozen class directly, one C call each
         indices, values = self.indices, self.values
         bounds = self.indptr.tolist()
+        new, cls = object.__new__, SparseVector
+        set_indices, set_values = cls.indices.__set__, cls.values.__set__
         for lo, hi in zip(bounds, bounds[1:]):
-            yield SparseVector.view(indices[lo:hi], values[lo:hi])
+            x = new(cls)
+            set_indices(x, indices[lo:hi])
+            set_values(x, values[lo:hi])
+            yield x
 
     def __eq__(self, other) -> bool:
         return (

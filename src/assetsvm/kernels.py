@@ -154,7 +154,9 @@ class Landmarks:
         A decision scores one point at a time, so this gathers the table
         rows at the point's nonzeros instead of densifying a one-row
         block: the cost follows its nonzeros, not the points' width. It
-        rounds differently from :meth:`rows`.
+        rounds differently from :meth:`rows`. A point that holds every
+        feature of the table multiplies the table itself: the gather would
+        copy it whole, to the same layout, so the product's bits agree.
         """
         table = self.table
         idx, values = x.indices, x.values
@@ -162,7 +164,11 @@ class Landmarks:
         if idx.size and idx[-1] >= len(table):
             keep = idx < len(table)
             idx, values = idx[keep], values[keep]
-        return _gaussian(values.dot(table.take(idx, axis=0)), self.neg_norms, norm)
+        # every index is now below the width, and they strictly increase,
+        # so as many of them as the width means exactly 0 .. width - 1
+        if idx.size != len(table):
+            table = table.take(idx, axis=0)
+        return _gaussian(values.dot(table), self.neg_norms, norm)
 
 
 class _TrainingRows:
@@ -238,6 +244,10 @@ class FourierMap(_TrainingRows):
     ``frequencies`` has one row per feature, drawn from the Gaussian with
     per-coordinate variance 2*sigma; offsets are uniform on [0, 2*pi).
     Mapping a point is sqrt(2/dim) * cos(frequencies @ x + offsets).
+    The frequencies are kept column-major, the layout of a gather of their
+    columns: a point that holds every input feature multiplies them
+    directly, with the same BLAS call, and so the same bits, as the gather
+    a sparse point makes.
     """
 
     kernel: GaussianKernel
@@ -246,6 +256,8 @@ class FourierMap(_TrainingRows):
     _scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        # a copy only for frequencies not built column-major
+        self.frequencies = np.asfortranarray(self.frequencies)
         self._scale = math.sqrt(2.0 / self.offsets.size)
 
     @property
@@ -256,12 +268,18 @@ class FourierMap(_TrainingRows):
 
     def map_point(self, x: SparseVector) -> np.ndarray:
         # one buffer: the phase, then its cosine, then the scaled feature
-        if x.indices.size:
-            phase = self.frequencies[:, x.indices] @ x.values
+        idx = x.indices
+        if idx.size:
+            freqs = self.frequencies
+            # strictly increasing indices, as many as the columns and the
+            # last one the last column, are exactly every column
+            if idx.size != freqs.shape[1] or idx[-1] != idx.size - 1:
+                freqs = freqs[:, idx]
+            phase = freqs @ x.values
             phase += self.offsets
         else:
             phase = self.offsets.copy()
-        _counts["cosine"] += self.dim
+        _counts["cosine"] += phase.size
         np.cos(phase, out=phase)
         phase *= self._scale
         return phase
@@ -340,6 +358,13 @@ def build_fourier(
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = stream(seed, FOURIER_STREAM)
-    frequencies = rng.normal(0.0, math.sqrt(2.0 * kernel.sigma), size=(dim, input_dim))
+    # the values of one (dim x input_dim) draw, drawn in blocks of rows into
+    # the column-major layout FourierMap keeps, so no second copy is made
+    frequencies = np.empty((dim, input_dim), order="F")
+    scale = math.sqrt(2.0 * kernel.sigma)
+    step = max(1, ROW_BLOCK_VALUES // input_dim)
+    for start in range(0, dim, step):
+        block = frequencies[start : start + step]
+        block[:] = rng.normal(0.0, scale, size=block.shape)
     offsets = rng.uniform(0.0, 2.0 * math.pi, size=dim)
     return FourierMap(kernel=kernel, frequencies=frequencies, offsets=offsets)

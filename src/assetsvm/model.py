@@ -120,9 +120,10 @@ def decide(model: Model, x: SparseVector) -> float:
     Fourier models score through the cosine features; landmark models
     evaluate the kernel against each stored landmark exactly once.
     """
-    if x.max_index >= model.input_dim:
+    idx = x.indices
+    if idx.size and idx[-1] >= model.input_dim:
         raise ValueError(
-            f"point uses feature index {x.max_index + 1} beyond model dimension {model.input_dim}"
+            f"point uses feature index {idx[-1] + 1} beyond model dimension {model.input_dim}"
         )
     if model.approx == "fourier":
         return float(model.payload.map_point(x).dot(model.gamma)) + model.b
@@ -246,7 +247,7 @@ def load_model(source: str | IO[str]) -> Model:
         # have matched them by token count; only then is the matrix allocated.
         first = _parse_floats(reader.next("freq"), input_dim, "freq row 1")
         try:
-            freqs = np.empty((dim, input_dim))
+            freqs = np.empty((dim, input_dim), order="F")
         except MemoryError:
             raise ModelFormatError(
                 f"a {dim} x {input_dim} frequency matrix does not fit in memory"

@@ -230,7 +230,7 @@ def estimate_dg(
             d = loss_direction(0.0, float(labels[i]), data.task, params.epsilon)
             if d:
                 row = feature_map.training_row(data, i)
-                total += d * d * (float(np.dot(row, row)) + bias_term)
+                total += d * d * (float(row.dot(row)) + bias_term)
     dg_sq = total / params.dg_sample
     if dg_sq == 0.0:
         return GradientStats(math.sqrt(params.lam) * region.gamma_radius)
@@ -246,7 +246,7 @@ def _fold_scale(a: float, v: np.ndarray, p: float, q: float, u: np.ndarray) -> f
     if p:
         u += (p / q) * v
     v *= a
-    return float(np.dot(v, v))
+    return float(v.dot(v))
 
 
 def _add_pending(
@@ -314,7 +314,6 @@ def asset_train(
     rows: list = [None] * m
     row_sq = [0.0] * m
     sqrt = math.sqrt
-    dot = np.dot
 
     # gamma = a * v with ||v||^2 = v_sq; avg_gamma = p * v + q * (u + pending
     # row multiples), where example i's pending multiple is pending[i] * row i.
@@ -351,8 +350,8 @@ def asset_train(
             if row is None:
                 row = fetch(data, xi)
                 rows[xi] = row
-                row_sq[xi] = float(dot(row, row))
-            s = float(dot(row, v))
+                row_sq[xi] = float(row.dot(row))
+            s = float(row.dot(v))
             d = loss_direction(a * s + b, y, task, eps)
             a *= 1.0 - eta * lam
             if abs(a) < renorm_below:

@@ -6,7 +6,14 @@ import math
 
 import numpy as np
 
-from assetsvm import Dataset, GaussianKernel, SparseVector, format_libsvm
+from assetsvm import (
+    Dataset,
+    FourierMap,
+    GaussianKernel,
+    Landmarks,
+    SparseVector,
+    format_libsvm,
+)
 
 
 def dense_vector(values) -> SparseVector:
@@ -43,6 +50,23 @@ def kernel_eval(kernel: GaussianKernel, s: SparseVector, t: SparseVector) -> flo
     leaves its evaluation counters alone.
     """
     return math.exp(-kernel.sigma * sq_dist(s, t))
+
+
+def gathered_kernel_row(landmarks: Landmarks, x: SparseVector) -> np.ndarray:
+    """``landmarks.row(x)`` computed through a gather of the table rows at
+    x's nonzeros, also when x holds every feature of the table."""
+    table = landmarks.table
+    keep = x.indices < len(table)
+    cross = x.values[keep].dot(table.take(x.indices[keep], axis=0))
+    norm = -landmarks.kernel.sigma * x.values.dot(x.values)
+    return np.exp(np.minimum(cross + landmarks.neg_norms + norm, 0.0))
+
+
+def gathered_features(fmap: FourierMap, x: SparseVector) -> np.ndarray:
+    """``fmap.map_point(x)`` computed through a gather of the frequency
+    columns at x's nonzeros, also when x holds every input feature."""
+    phase = fmap.frequencies[:, x.indices] @ x.values + fmap.offsets
+    return np.cos(phase) * math.sqrt(2.0 / fmap.dim)
 
 
 def matrix_dataset(X: np.ndarray, labels: np.ndarray, task: str) -> Dataset:

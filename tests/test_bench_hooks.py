@@ -3,7 +3,9 @@
 ``bench/spans.py`` replaces module and class attributes of the program
 with span wrappers, and ``bench/layers.py`` runs the solver on a stand-in
 feature map. A rename in ``src/`` would break that run without failing
-any other test, so these tests load both files and check the names.
+any other test, so these tests load both files and check the names, and
+that ``predict`` and ``eval`` still make the one ``model.decide`` call
+per point the traced run reads.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from assetsvm import SolverParams, asset_train, estimate_dg, feasible_region
-from helpers import planted_dataset
+from assetsvm import SolverParams, asset_train, cli, estimate_dg, feasible_region
+from helpers import planted_dataset, write_libsvm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -52,3 +54,23 @@ def test_solver_runs_on_precomputed_rows(bench_modules):
     gamma, b = asset_train(fixed, ds, params, region)
     assert gamma.shape == (4,)
     assert np.all(np.isfinite(gamma)) and np.isfinite(b)
+
+
+@pytest.mark.parametrize("approx, size", [("nystrom", ["--s", "9"]), ("fourier", ["--d", "13"])])
+def test_each_point_is_one_traced_decision(bench_modules, approx, size, tmp_path):
+    spans, _ = bench_modules
+    train = write_libsvm(tmp_path / "train.svm", planted_dataset(30, 3, seed=3))
+    test = write_libsvm(tmp_path / "test.svm", planted_dataset(17, 3, seed=4))
+    model = str(tmp_path / "model.txt")
+    args = ["train", "--task", "class", "--approx", approx, *size, "--iters", "100",
+            "--data", train, "--model", model]
+    assert cli.main(args) == 0
+    for command in (
+        ["predict", "--model", model, "--data", test, "--out", str(tmp_path / "pred.txt")],
+        ["eval", "--model", model, "--data", test],
+    ):
+        with spans.installed(spans.Tracer()) as tracer:
+            assert cli.main(command) == 0
+        decides = [s for s in tracer.spans if s.name == "model.decide"]
+        assert len(decides) == 17
+        assert {s.evals for s in decides} == {int(size[1])}

@@ -743,6 +743,30 @@ class TestNumericFailures:
         assert not out.exists()
 
 
+class TestMetricsFile:
+    def test_failed_training_leaves_no_metrics_file(self, tmp_path, capsys):
+        # the cosine phase of 1e308 overflows during training
+        train = tmp_path / "train.svm"
+        train.write_text("+1 1:1e308\n-1 1:0.9\n+1 1:0.2\n-1 1:0.8\n")
+        model, metrics = tmp_path / "model.txt", tmp_path / "m.csv"
+        code = main(
+            ["train", "--task", "class", "--approx", "fourier", "--d", "8",
+             "--data", str(train), "--model", str(model), "--metrics", str(metrics)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numeric failure: overflow encountered in ")
+        assert not metrics.exists()
+        assert not model.exists()
+
+    def test_unwritable_metrics_path_is_data_error(self, moons_files, tmp_path):
+        train, _ = moons_files
+        model = str(tmp_path / "model.txt")
+        metrics = str(tmp_path / "missing" / "m.csv")
+        code = main(train_args(train, model, **{"--s": "16", "--epochs": "1", "--metrics": metrics}))
+        assert code == 2
+        assert not os.path.exists(model)
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         result = run_module(["eval", "--data", "missing.svm", "--model", "missing.txt"], tmp_path)

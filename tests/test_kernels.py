@@ -20,7 +20,15 @@ from assetsvm import (
     reset_eval_counts,
     sym_eig,
 )
-from helpers import dense_vector, kernel_eval, matrix_dataset, planted_dataset
+from assetsvm.rng import FOURIER_STREAM, stream
+from helpers import (
+    dense_vector,
+    gathered_features,
+    gathered_kernel_row,
+    kernel_eval,
+    matrix_dataset,
+    planted_dataset,
+)
 
 
 class TestKernelEval:
@@ -412,3 +420,62 @@ class TestRowBlocks:
         assert landmarks.width == 10**12 + 1
         with pytest.raises(MemoryError):
             landmarks.table
+
+
+class TestDenseRows:
+    """A point that holds every feature of the table multiplies the table
+    itself, and must give the bits of the gather a sparse point makes."""
+
+    def test_landmark_row_matches_the_gather(self):
+        ds = planted_dataset(30, 5, seed=34)
+        kernel = GaussianKernel(0.7)
+        landmarks = Landmarks(kernel, ds.examples[:12])
+        assert landmarks.width == 5
+        rng = np.random.default_rng(35)
+        points = [dense_vector(rng.normal(size=5)) for _ in range(5)]
+        # wider than the table: the features past it are dropped first
+        points.append(dense_vector(rng.normal(size=9)))
+        # as many features as the table is wide, one of them past it
+        points.append(SparseVector(np.array([0, 1, 2, 3, 7]), rng.normal(size=5)))
+        for x in points:
+            row = landmarks.row(x)
+            assert row.tobytes() == gathered_kernel_row(landmarks, x).tobytes()
+            exact = [kernel_eval(kernel, x, p) for p in landmarks.points]
+            np.testing.assert_allclose(row, exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["built", "row-major"])
+    def test_fourier_features_match_the_gather(self, layout):
+        fmap = build_fourier(6, 40, GaussianKernel(0.8), seed=36)
+        if layout == "row-major":
+            # a map given frequencies in the other layout keeps them column-major
+            fmap = FourierMap(
+                kernel=fmap.kernel,
+                frequencies=np.ascontiguousarray(fmap.frequencies),
+                offsets=fmap.offsets,
+            )
+        assert fmap.frequencies.flags["F_CONTIGUOUS"]
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            x = dense_vector(rng.normal(size=6))
+            assert fmap.map_point(x).tobytes() == gathered_features(fmap, x).tobytes()
+
+    def test_fourier_point_past_the_columns_is_not_dense(self):
+        # two features against two columns, but not columns 0 and 1
+        fmap = build_fourier(2, 8, GaussianKernel(1.0), seed=38)
+        with pytest.raises(IndexError):
+            fmap.map_point(SparseVector(np.array([0, 5]), np.array([1.0, 2.0])))
+
+    @pytest.mark.parametrize("block_values", [1, 3, 1 << 14])
+    def test_frequencies_are_one_row_major_draw(self, block_values, monkeypatch):
+        # drawn in blocks of rows into the column-major layout, the values,
+        # and the offsets drawn after them, are those of one (dim x n) draw
+        monkeypatch.setattr(kernels, "ROW_BLOCK_VALUES", block_values)
+        fmap = build_fourier(7, 50, GaussianKernel(0.9), seed=39)
+        rng = stream(39, FOURIER_STREAM)
+        assert fmap.frequencies.flags["F_CONTIGUOUS"]
+        np.testing.assert_array_equal(
+            fmap.frequencies, rng.normal(0.0, math.sqrt(2.0 * 0.9), size=(50, 7))
+        )
+        np.testing.assert_array_equal(
+            fmap.offsets, rng.uniform(0.0, 2.0 * math.pi, size=50)
+        )

@@ -25,7 +25,15 @@ from assetsvm import (
     save_model,
 )
 from assetsvm.model import model_to_text
-from helpers import dense_vector, kernel_eval, matrix_dataset, planted_dataset, to_dense
+from helpers import (
+    dense_vector,
+    gathered_features,
+    gathered_kernel_row,
+    kernel_eval,
+    matrix_dataset,
+    planted_dataset,
+    to_dense,
+)
 
 
 def nystrom_model(ds, gamma=None, b=0.25, lam=0.1, sigma=1.0, sample=None, seed=0):
@@ -146,8 +154,29 @@ class TestDecide:
 
     def test_dimension_check(self):
         model = fourier_model(n=3)
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="feature index 4 beyond model dimension 3"):
             decide(model, dense_vector([1.0, 1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
+    def test_dense_points_decide_as_the_gather_does(self, approx):
+        # a point that holds every feature skips the gather; its decision
+        # keeps the gather's bits
+        rng = np.random.default_rng(12)
+        if approx == "nystrom":
+            model, _ = nystrom_model(planted_dataset(30, 5, seed=13), sample=14)
+            landmarks, alpha = model.payload.landmarks, model.payload.alpha
+            assert landmarks.width == 5
+
+            def gathered(x):
+                return float(gathered_kernel_row(landmarks, x).dot(alpha)) + model.b
+        else:
+            model = fourier_model(n=5, dim=40)
+
+            def gathered(x):
+                return float(gathered_features(model.payload, x).dot(model.gamma)) + model.b
+        for _ in range(5):
+            x = dense_vector(rng.normal(size=5))
+            assert decide(model, x) == gathered(x)
 
 
 class TestDecideAgainstNumpy:
@@ -170,6 +199,9 @@ class TestDecideAgainstNumpy:
             "sparse": SparseVector(np.array([1, 3]), rng.normal(size=2)),
             "wide sparse": SparseVector(np.array([0, n - 2]), rng.normal(size=2)),
             "empty": SparseVector(np.zeros(0, dtype=np.int64), np.zeros(0)),
+            # four features: as many as the landmark table below is wide,
+            # but the last one is past it, so the table is not multiplied whole
+            "trap": SparseVector(np.array([0, 1, 2, n - 1]), rng.normal(size=4)),
         }
 
     def test_landmark_model(self):
