@@ -1,20 +1,24 @@
 """Command-line driver: train, predict, and eval subcommands.
 
 Exit codes: 0 ok, 1 usage error, 2 data/model error, 3 numeric failure.
-All validation happens before any output file is touched.
+All validation happens before any output file is touched. ``train``
+writes its two outputs last, and a ``train`` that exits non-zero leaves
+neither of them behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import sys
 import time
 
 import numpy as np
 
-from .data import DataFormatError, load_libsvm
+from .data import DataFormatError, load_libsvm, not_utf8
 from .kernels import (
     DegenerateKernelError,
     GaussianKernel,
@@ -221,7 +225,13 @@ def cmd_train(config: argparse.Namespace) -> int:
     else:
         if data.n < 1:
             raise DataFormatError("training data has no features")
-        feature_map = build_fourier(data.n, config.dim, kernel, seed=config.seed)
+        try:
+            feature_map = build_fourier(data.n, config.dim, kernel, seed=config.seed)
+        except MemoryError:
+            raise UsageError(
+                f"--d {config.dim}: a {config.dim} x {data.n} frequency matrix "
+                "does not fit in memory"
+            ) from None
 
     # checkpoint rows are kept in memory and written just before the model,
     # so a run that fails leaves no metrics file behind
@@ -275,7 +285,14 @@ def cmd_train(config: argparse.Namespace) -> int:
         with open(config.metrics, "w", encoding="utf-8", newline="") as handle:
             handle.write("iteration,seconds,objective,eval_error\n")
             handle.writelines(metrics_rows)
-    save_model(model, config.model)
+    try:
+        save_model(model, config.model)
+    except BaseException:
+        # a train that fails leaves no output file behind
+        if config.metrics is not None:
+            with contextlib.suppress(OSError):
+                os.remove(config.metrics)
+        raise
     return EXIT_OK
 
 
@@ -301,22 +318,25 @@ def cmd_predict(config: argparse.Namespace) -> int:
 
 def _read_predictions(path: str) -> list[float]:
     values = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                value = float(tokens[0])
-            except ValueError:
-                raise DataFormatError(
-                    f"predictions line {lineno}: non-numeric value {tokens[0]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise DataFormatError(
-                    f"predictions line {lineno}: non-finite value {tokens[0]!r}"
-                )
-            values.append(value)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                tokens = line.split()
+                if not tokens:
+                    continue
+                try:
+                    value = float(tokens[0])
+                except ValueError:
+                    raise DataFormatError(
+                        f"predictions line {lineno}: non-numeric value {tokens[0]!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataFormatError(
+                        f"predictions line {lineno}: non-finite value {tokens[0]!r}"
+                    )
+                values.append(value)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(not_utf8("predictions file", exc)) from None
     return values
 
 

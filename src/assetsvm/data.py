@@ -8,15 +8,18 @@ immutable once built and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Literal, Sequence
+from typing import IO, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
+from . import halves
 from .rng import SPLIT_STREAM, stream
 
 TaskKind = Literal["classification", "regression"]
@@ -359,17 +362,31 @@ class _Column:
         self.data = np.empty(max(capacity, 16), dtype=dtype)
         self.size = 0
 
-    def extend(self, piece: np.ndarray) -> None:
-        end = self.size + piece.size
+    def grow(self, count: int) -> np.ndarray:
+        """The next ``count`` slots, appended unfilled: the caller fills them."""
+        end = self.size + count
         if end > self.data.size:
             grown = np.empty(max(end, 2 * self.data.size), dtype=self.data.dtype)
             grown[: self.size] = self.data[: self.size]
             self.data = grown
-        self.data[self.size : end] = piece
         self.size = end
+        return self.data[end - count : end]
+
+    def extend(self, piece: np.ndarray) -> None:
+        self.grow(piece.size)[:] = piece
 
     def view(self) -> np.ndarray:
         return self.data[: self.size]
+
+
+def _columns(rows_hint: int, nonzeros_hint: int) -> tuple[_Column, _Column, _Column, _Column]:
+    """Empty label, row-length, index and value columns."""
+    return (
+        _Column(np.float64, rows_hint),
+        _Column(np.int64, rows_hint),
+        _Column(np.int64, nonzeros_hint),
+        _Column(np.float64, nonzeros_hint),
+    )
 
 
 def _take_block(lines: Iterator[str]) -> list[str]:
@@ -399,19 +416,8 @@ def _dataset(
     return Dataset(rows, raw_labels, n, task)
 
 
-def _parse(
-    source: Iterable[str],
-    task: TaskKind,
-    n_override: int | None,
-    rows_hint: int,
-    nonzeros_hint: int,
-) -> Dataset:
-    if task not in TASKS:
-        raise DataFormatError(f"unknown task {task!r}")
-    labels = _Column(np.float64, rows_hint)
-    lengths = _Column(np.int64, rows_hint)
-    indices = _Column(np.int64, nonzeros_hint)
-    values = _Column(np.float64, nonzeros_hint)
+def _parse_into(columns: tuple[_Column, ...], source: Iterable[str]) -> None:
+    """Append the labels, row lengths, indices and values of every line to ``columns``."""
     lines = iter(source)
     lineno = 0
     while block := _take_block(lines):
@@ -421,13 +427,26 @@ def _parse(
             rest, rest_labels = _parse_lines(itertools.chain(block, lines), lineno)
             tail = SparseRows.of(rest)
             parsed = (np.array(rest_labels), np.diff(tail.indptr), tail.indices, tail.values)
-        for column, piece in zip((labels, lengths, indices, values), parsed):
+        for column, piece in zip(columns, parsed):
             column.extend(piece)
         lineno += len(block)
+
+
+def _columns_dataset(
+    columns: tuple[_Column, ...], task: TaskKind, n_override: int | None
+) -> Dataset:
+    labels, lengths, indices, values = (column.view() for column in columns)
     indptr = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths.view(), out=indptr[1:])
-    rows = SparseRows(indptr, indices.view(), values.view())
-    return _dataset(rows, labels.view(), task, n_override)
+    np.cumsum(lengths, out=indptr[1:])
+    return _dataset(SparseRows(indptr, indices, values), labels, task, n_override)
+
+
+def _parse(source: Iterable[str], task: TaskKind, n_override: int | None) -> Dataset:
+    if task not in TASKS:
+        raise DataFormatError(f"unknown task {task!r}")
+    columns = _columns(0, 0)
+    _parse_into(columns, source)
+    return _columns_dataset(columns, task, n_override)
 
 
 def parse_libsvm(
@@ -447,7 +466,7 @@ def parse_libsvm(
     path (:func:`parse_libsvm_lines`) parses instead, so errors and their
     line numbers are the line path's own.
     """
-    return _parse(source, task, n_override, 0, 0)
+    return _parse(source, task, n_override)
 
 
 def parse_libsvm_lines(
@@ -462,19 +481,138 @@ def parse_libsvm_lines(
     return _dataset(SparseRows.of(examples), np.array(raw_labels), task, n_override)
 
 
-def load_libsvm(path: str, task: TaskKind, n_override: int | None = None) -> Dataset:
-    # The file is opened once. When it can be read twice, a first pass counts
-    # colons and newlines so the arrays are sized once; a pipe is read only
-    # once, and its arrays grow as they fill.
-    colons = newlines = 0
+def not_utf8(what: str, exc: UnicodeDecodeError) -> str:
+    """The message of a format error for a file, named by ``what``, that is not UTF-8 text."""
+    return f"{what} is not UTF-8 text ({exc.reason}: {exc.object[exc.start : exc.end]!r})"
+
+
+def _text(raw: IO[bytes]) -> io.TextIOWrapper:
+    return io.TextIOWrapper(raw, encoding="utf-8")
+
+
+class _Prefix(io.RawIOBase):
+    """The next ``limit`` bytes of a binary file, read from its current position."""
+
+    def __init__(self, source: IO[bytes], limit: int):
+        self.source = source
+        self.left = limit
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.source.readinto(memoryview(buffer)[: self.left])
+        self.left -= count
+        return count
+
+
+class _Survey(NamedTuple):
+    """What a first pass over a file finds."""
+
+    newlines: int
+    colons: int
+    size: int
+    # just past the first newline at or after the middle of the file, or
+    # None when no line starts in its second half
+    split: int | None
+    head_newlines: int
+    head_colons: int
+
+
+def _survey(raw: IO[bytes]) -> _Survey:
+    middle = os.fstat(raw.fileno()).st_size // 2
+    newlines = colons = size = 0
+    split = head_newlines = head_colons = None
+    for chunk in iter(lambda: raw.read(1 << 16), b""):
+        if split is None and size + len(chunk) > middle:
+            at = chunk.find(b"\n", max(middle - size, 0)) + 1
+            if at:
+                split = size + at
+                head_newlines = newlines + chunk.count(b"\n", 0, at)
+                head_colons = colons + chunk.count(b":", 0, at)
+        newlines += chunk.count(b"\n")
+        colons += chunk.count(b":")
+        size += len(chunk)
+    if split == size:
+        split = None
+    return _Survey(newlines, colons, size, split, head_newlines, head_colons)
+
+
+def _send_tail(path: str, start: int, rows_hint: int, nonzeros_hint: int, pipe: IO[bytes]) -> None:
+    """The child's half: parse the file from byte ``start`` on and send the columns.
+
+    The child opens the file itself: a descriptor inherited across the fork
+    shares its offset with the parent's.
+    """
+    columns = _columns(rows_hint, nonzeros_hint)
     with open(path, "rb") as raw:
-        if raw.seekable():
-            for chunk in iter(lambda: raw.read(1 << 16), b""):
-                colons += chunk.count(b":")
-                newlines += chunk.count(b"\n")
+        raw.seek(start)
+        _parse_into(columns, _text(raw))
+    labels, _, indices, _ = columns
+    pipe.write(np.array([labels.size, indices.size], dtype=np.int64))
+    for column in columns:
+        pipe.write(column.view())
+
+
+def _parse_halves(path: str, raw: IO[bytes], survey: _Survey, columns: tuple[_Column, ...]) -> bool:
+    """Parse ``raw`` into ``columns``: here up to the split point, in a child after it.
+
+    The child's columns are read straight into the tail of ``columns``.
+    Returns False, with ``raw`` rewound and ``columns`` emptied, when the
+    file is not split or either half fails.
+    """
+    if survey.split is None or not halves.worth_splitting(survey.size):
+        return False
+    send = functools.partial(
+        _send_tail,
+        path,
+        survey.split,
+        survey.newlines - survey.head_newlines + 1,
+        survey.colons - survey.head_colons,
+    )
+    try:
+        with halves.child(send) as pipe:
+            _parse_into(columns, _text(io.BufferedReader(_Prefix(raw, survey.split))))
+            sizes = np.empty(2, dtype=np.int64)
+            halves.read_exact(pipe, sizes)
+            rows, nonzeros = sizes.tolist()
+            for column, count in zip(columns, (rows, rows, nonzeros, nonzeros)):
+                halves.read_exact(pipe, column.grow(count))
+    except Exception:
+        raw.seek(0)
+        for column in columns:
+            column.size = 0
+        return False
+    return True
+
+
+def load_libsvm(path: str, task: TaskKind, n_override: int | None = None) -> Dataset:
+    """Parse a libsvm file (see :func:`parse_libsvm`).
+
+    A file that is not UTF-8 text is a :class:`DataFormatError`. A large
+    file is parsed in two halves, the second by a forked child (see
+    :mod:`assetsvm.halves`); a failure in either half sends the whole file
+    through the sequential path, so the dataset or the error is the same
+    either way.
+    """
+    if task not in TASKS:
+        raise DataFormatError(f"unknown task {task!r}")
+    try:
+        with open(path, "rb") as raw:
+            if not raw.seekable():
+                # a pipe is read only once, and its arrays grow as they fill
+                with _text(raw) as handle:
+                    return _parse(handle, task, n_override)
+            # a first pass counts newlines and colons, so the arrays are sized once
+            survey = _survey(raw)
             raw.seek(0)
-        with io.TextIOWrapper(raw, encoding="utf-8") as handle:
-            return _parse(handle, task, n_override, newlines + 1, colons)
+            columns = _columns(survey.newlines + 1, survey.colons)
+            if not _parse_halves(path, raw, survey, columns):
+                with _text(raw) as handle:
+                    _parse_into(columns, handle)
+            return _columns_dataset(columns, task, n_override)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(not_utf8("libsvm file", exc)) from None
 
 
 def format_libsvm(data: Dataset) -> str:

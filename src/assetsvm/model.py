@@ -13,19 +13,28 @@ so a loaded model reproduces its decisions bit-for-bit.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import os
+import shutil
 from dataclasses import dataclass
 from io import StringIO
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
-from .data import DataFormatError, SparseVector, format_row, parse_row
+from . import halves
+from .data import DataFormatError, SparseVector, format_row, not_utf8, parse_row
 from .kernels import FourierMap, GaussianKernel, Landmarks, NystromMap
 
 MODEL_HEADER = "ASSET-MODEL v1"
 TASK_NAMES = ("classification", "regression")
 APPROX_NAMES = ("nystrom", "fourier")
+# Characters a saved frequency takes, separator included: shortest-repr
+# doubles drawn from a normal distribution print as 18-21 of them. It sizes
+# a file before it is written, to decide whether to split the formatting.
+FLOAT_TEXT_BYTES = 20
 
 
 class ModelFormatError(ValueError):
@@ -144,13 +153,13 @@ def _fmt_vector(values: np.ndarray) -> str:
     return " ".join(map(repr, values.tolist()))
 
 
-def save_model(model: Model, sink: str | IO[str]) -> None:
-    """Write a model file (see module docstring for the layout)."""
-    if isinstance(sink, str):
-        with open(sink, "w", encoding="utf-8") as handle:
-            save_model(model, handle)
-        return
-    out = sink
+def _freq_lines(rows: np.ndarray) -> Iterator[str]:
+    for row in rows:
+        yield f"freq {_fmt_vector(row)}\n"
+
+
+def _write(model: Model, out: IO[str], freq_stop: int | None = None) -> None:
+    """Write the model file, with only its first ``freq_stop`` frequency rows if given."""
     out.write(MODEL_HEADER + "\n")
     out.write(f"task {model.task}\n")
     out.write(f"approx {model.approx}\n")
@@ -163,8 +172,7 @@ def save_model(model: Model, sink: str | IO[str]) -> None:
         fmap = model.payload
         out.write(f"gamma {_fmt_vector(model.gamma)}\n")
         out.write(f"offsets {_fmt_vector(fmap.offsets)}\n")
-        for row in fmap.frequencies:
-            out.write(f"freq {_fmt_vector(row)}\n")
+        out.writelines(_freq_lines(fmap.frequencies[:freq_stop]))
     else:
         payload = model.payload
         out.write(f"s {len(payload.landmarks)}\n")
@@ -172,6 +180,50 @@ def save_model(model: Model, sink: str | IO[str]) -> None:
         out.write(f"alpha {_fmt_vector(payload.alpha)}\n")
         for point in payload.landmarks.points:
             out.write(f"support{format_row(point)}\n")
+
+
+def _send_freq_text(rows: np.ndarray, pipe: IO[bytes]) -> None:
+    """The child's half of a save: the text of ``rows``, formatted whole, then sent."""
+    pipe.write("".join(_freq_lines(rows)).encode("utf-8"))
+
+
+def _save_halves(model: Model, path: str) -> bool:
+    """Write a cosine model file whose second half of frequency rows a child formats.
+
+    This process writes everything else, then copies the child's text into
+    the file. Returns False when the file is too small to split, and after
+    any failure, which may leave a partial file for the caller to rewrite.
+    """
+    freqs = model.payload.frequencies
+    if len(freqs) < 2 or not halves.worth_splitting(freqs.size * FLOAT_TEXT_BYTES):
+        return False
+    half = len(freqs) // 2
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            with halves.child(functools.partial(_send_freq_text, freqs[half:])) as text:
+                _write(model, handle, half)
+                handle.flush()
+                shutil.copyfileobj(text, handle.buffer, halves.BOUNCE_BYTES)
+    except Exception:
+        return False
+    return True
+
+
+def save_model(model: Model, sink: str | IO[str]) -> None:
+    """Write a model file (see module docstring for the layout).
+
+    Saved to a path, a large cosine model's frequency rows are formatted in
+    two halves, the second by a forked child (see :mod:`assetsvm.halves`);
+    after a failure on either side the sequential path writes the whole
+    file again. The bytes are the same either way.
+    """
+    if isinstance(sink, str):
+        if model.approx == "fourier" and _save_halves(model, sink):
+            return
+        with open(sink, "w", encoding="utf-8") as handle:
+            _write(model, handle)
+        return
+    _write(model, sink)
 
 
 class _LineReader:
@@ -208,11 +260,68 @@ def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
     return values
 
 
+def _read_freq_rows(reader: _LineReader, out: np.ndarray, first: int) -> None:
+    """Fill the rows of ``out`` from the next freq lines; ``first`` numbers the first one."""
+    width = out.shape[1]
+    for i in range(len(out)):
+        out[i] = _parse_floats(reader.next("freq"), width, f"freq row {first + i + 1}")
+
+
+def _send_freq_rows(path: str, skip: int, first: int, count: int, width: int, pipe: IO[bytes]) -> None:
+    """The child's half of a load: ``count`` frequency rows after line ``skip``, sent in C order.
+
+    The child opens the file itself: a descriptor inherited across the fork
+    shares its offset with the parent's.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        reader = _LineReader(itertools.islice(handle, skip, None))
+        reader.lineno = skip
+        block = np.empty((count, width))
+        _read_freq_rows(reader, block, first)
+    pipe.write(block)
+
+
+def _receive_rows(pipe: IO[bytes], out: np.ndarray) -> None:
+    """Fill ``out``, of any layout, with rows sent in C order, through a small buffer."""
+    width = out.shape[1]
+    bounce = np.empty(min(halves.BOUNCE_BYTES // 8, out.size))
+    done = 0
+    while done < out.size:
+        chunk = bounce[: min(bounce.size, out.size - done)]
+        halves.read_exact(pipe, chunk)
+        while chunk.size:
+            row, col = divmod(done, width)
+            take = min(width - col, chunk.size)
+            out[row, col : col + take] = chunk[:take]
+            chunk = chunk[take:]
+            done += take
+
+
 def load_model(source: str | IO[str]) -> Model:
-    """Read a model file back; inverse of :func:`save_model`."""
-    if isinstance(source, str):
+    """Read a model file back; inverse of :func:`save_model`.
+
+    A file that is not UTF-8 text is a :class:`ModelFormatError`. Read from
+    a large file, a cosine model's frequency rows are parsed in two halves,
+    the second by a forked child (see :mod:`assetsvm.halves`); after a
+    failure on either side the sequential path reads the whole file again,
+    so the model or the error is the same either way.
+    """
+    if not isinstance(source, str):
+        return _read(source, None)
+    try:
         with open(source, "r", encoding="utf-8") as handle:
-            return load_model(handle)
+            if halves.worth_splitting(os.fstat(handle.fileno()).st_size):
+                try:
+                    return _read(handle, source)
+                except Exception:
+                    handle.seek(0)
+            return _read(handle, None)
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(not_utf8("model file", exc)) from None
+
+
+def _read(source: IO[str], path: str | None) -> Model:
+    """Parse a model from ``source``; the frequency rows are split when ``path`` names its file."""
     reader = _LineReader(source)
     header = reader.next()
     if header != MODEL_HEADER:
@@ -253,8 +362,17 @@ def load_model(source: str | IO[str]) -> Model:
                 f"a {dim} x {input_dim} frequency matrix does not fit in memory"
             ) from None
         freqs[0] = first
-        for k in range(1, dim):
-            freqs[k] = _parse_floats(reader.next("freq"), input_dim, f"freq row {k + 1}")
+        if path is not None and dim >= 2:
+            # row k is on line reader.lineno + k; the child reads rows half..dim-1
+            half = dim // 2
+            send = functools.partial(
+                _send_freq_rows, path, reader.lineno + half - 1, half, dim - half, input_dim
+            )
+            with halves.child(send) as pipe:
+                _read_freq_rows(reader, freqs[1:half], 1)
+                _receive_rows(pipe, freqs[half:])
+        else:
+            _read_freq_rows(reader, freqs[1:], 1)
         payload: FourierMap | NystromRecovery = FourierMap(
             kernel=kernel, frequencies=freqs, offsets=offsets
         )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -13,6 +15,7 @@ from assetsvm import (
     Landmarks,
     SparseVector,
     format_libsvm,
+    halves,
 )
 
 
@@ -113,3 +116,29 @@ def write_libsvm(path, data: Dataset) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(format_libsvm(data))
     return path
+
+
+@contextlib.contextmanager
+def split_files(on: bool):
+    """Split every file between two processes (on) or none (off); yield each split's outcome.
+
+    The list gets None for a split whose child delivered its half and the
+    exception type for one that failed and fell back to the sequential path,
+    so a test can tell a working split from a silent fallback.
+    """
+    outcomes: list[type | None] = []
+    real = halves.child
+
+    @contextlib.contextmanager
+    def recorded(work):
+        try:
+            with real(work) as pipe:
+                yield pipe
+        except BaseException as exc:
+            outcomes.append(type(exc))
+            raise
+        outcomes.append(None)
+
+    with mock.patch.object(halves, "MIN_BYTES", 0 if on else 1 << 62), \
+            mock.patch.object(halves, "child", recorded):
+        yield outcomes

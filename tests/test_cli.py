@@ -766,6 +766,32 @@ class TestMetricsFile:
         assert code == 2
         assert not os.path.exists(model)
 
+    @pytest.mark.parametrize("approx, size", [("nystrom", "--s"), ("fourier", "--d")])
+    def test_unwritable_model_path_leaves_no_metrics_file(self, approx, size, moons_files,
+                                                          tmp_path, capsys):
+        train, _ = moons_files
+        model = str(tmp_path / "missing" / "model.txt")
+        metrics = tmp_path / "m.csv"
+        code = main(["train", "--task", "class", "--approx", approx, size, "16", "--epochs", "1",
+                     "--data", train, "--model", model, "--metrics", str(metrics)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not metrics.exists()
+
+
+class TestHugeDimension:
+    def test_frequency_matrix_too_large_is_usage_error(self, moons_files, tmp_path, capsys):
+        train, _ = moons_files
+        model, metrics = tmp_path / "model.txt", tmp_path / "m.csv"
+        code = main(["train", "--task", "class", "--approx", "fourier", "--d", "100000000000",
+                     "--data", train, "--model", str(model), "--metrics", str(metrics)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: --d 100000000000: a 100000000000 x 2 frequency matrix does not fit in memory\n"
+        )
+        assert not model.exists() and not metrics.exists()
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):

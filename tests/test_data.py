@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -16,8 +18,9 @@ from assetsvm import (
     parse_libsvm,
     split,
 )
+from assetsvm import halves, load_libsvm
 from assetsvm.data import parse_libsvm_lines
-from helpers import dot, matrix_dataset, norm_sq, planted_dataset, sq_dist, to_dense
+from helpers import dot, matrix_dataset, norm_sq, planted_dataset, split_files, sq_dist, to_dense
 
 
 def parse_text(text, task="classification", n_override=None):
@@ -275,6 +278,17 @@ def _both(text, task="classification", n_override=None):
     return block, line
 
 
+def _loaded(content, task="classification", n_override=None):
+    """load_libsvm's outcome on ``content`` (text or bytes) written to a temporary file."""
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "data.svm")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        return _outcome(load_libsvm, path, task, n_override)
+
+
 ANOMALIES = [
     "nan", "inf", "1e999", "x", "notafeature", "1:nan", "1:-inf", "2:1e999", "0:1",
     "-1:2", "1:2:3", ":", "1:", ":1", "1e0:1", "+3:1", "1_0:2", "3:x", "5:1 2:1",
@@ -314,11 +328,17 @@ class TestBlockParser:
         task=st.sampled_from(["classification", "regression"]),
         n_override=st.sampled_from([None, 0, 5, 20]),
         block=st.sampled_from([1, 16, 64, data.BLOCK_CHARS]),
+        split=st.booleans(),
     )
-    def test_block_and_line_paths_agree(self, text, task, n_override, block):
+    def test_block_and_line_paths_agree(self, text, task, n_override, block, split):
         with mock.patch.object(data, "BLOCK_CHARS", block):
             block_result, line_result = _both(text, task, n_override)
-        assert block_result == line_result
+            with split_files(split) as outcomes:
+                loaded = _loaded(text, task, n_override)
+        assert block_result == line_result == loaded
+        if not isinstance(loaded, tuple):
+            # a file that parses was parsed by the split, not by its fallback
+            assert set(outcomes) <= {None}
 
     @pytest.mark.parametrize("lineno", [4, 6], ids=["first-of-block", "last-of-block"])
     @pytest.mark.parametrize(
@@ -365,6 +385,67 @@ class TestBlockParser:
         assert block_result == line_result
         assert block_result.m == 9
         assert block_result.labels[lineno - 1] == -1.0
+
+
+GOOD = "".join(f"{'+1' if k % 3 else '-1'} 1:{k}.5 {k % 7 + 2}:0.25\n" for k in range(40))
+
+
+def with_line(line, where):
+    """GOOD with its line ``where`` (0-based) replaced."""
+    lines = GOOD.splitlines(True)
+    lines[where] = line
+    return "".join(lines)
+
+
+class TestSplitLoad:
+    """load_libsvm on a large file: this process parses one half, a forked child the other."""
+
+    @pytest.mark.parametrize(
+        "text, fallback",
+        [
+            (GOOD, None),
+            (GOOD.replace("\n", "\r\n"), None),
+            (GOOD.replace("\n", "\r", 10), None),
+            (with_line("# note\n", 30), None),
+            (GOOD.replace("-1 1:3.5", "2 1:3.5"), None),
+            (with_line("+1 3:1 2:1\n", 5), DataFormatError),
+            (with_line("+1 3:1 2:1\n", 35), halves.ChildFailed),
+        ],
+        ids=["plain", "crlf", "cr-in-head", "comment", "bad-label", "error-in-head",
+             "error-in-tail"],
+    )
+    def test_split_agrees_with_the_sequential_load(self, text, fallback):
+        with split_files(True) as outcomes:
+            outcome = _loaded(text, n_override=12)
+        assert outcomes == [fallback]
+        with split_files(False) as outcomes:
+            assert outcome == _loaded(text, n_override=12)
+        assert outcomes == []
+
+    def test_file_without_a_second_half_is_not_split(self):
+        # with only carriage returns, no line starts after the middle
+        with split_files(True) as outcomes:
+            outcome = _loaded(GOOD.replace("\n", "\r"))
+        assert outcomes == []
+        assert outcome == _loaded(GOOD)
+
+    def test_invalid_utf8_is_a_format_error(self):
+        for split in (True, False):
+            with split_files(split):
+                outcome = _loaded(GOOD.encode("utf-8")[:-20] + b"\xff\n")
+            assert outcome == (
+                DataFormatError, "libsvm file is not UTF-8 text (invalid start byte: b'\\xff')"
+            )
+
+    @pytest.mark.parametrize("where", [None, 5, 35], ids=["good", "error-in-head", "error-in-tail"])
+    def test_failed_child_gives_the_sequential_outcome(self, where):
+        text = GOOD if where is None else with_line("+1 1:x\n", where)
+        failing = mock.patch.object(data, "_send_tail", side_effect=RuntimeError("child fails"))
+        with split_files(True) as outcomes, failing:
+            outcome = _loaded(text)
+        assert outcomes == [DataFormatError if where == 5 else halves.ChildFailed]
+        with split_files(False):
+            assert outcome == _loaded(text)
 
 
 @st.composite

@@ -3,7 +3,8 @@
 Every untrusted file the CLI reads (a landmark model, a cosine model, a
 libsvm file and a predictions file) is cut after each of its lines and
 has single tokens swapped for hostile ones, a few hundred times in all;
-each variant goes through ``cli.main``.
+each variant goes through ``cli.main``. Byte-level corruptions, most of
+them invalid UTF-8, go through the same commands.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from helpers import two_moons, write_libsvm
 
 SWAPS = 200
 TOKENS = ["nan", "inf", "0", "-1", "1e999", "x", "0:1", "2:1 1:1", "1000000:1.0", ""]
+CORRUPTIONS = 40
+# a stray continuation byte, a truncated sequence, an encoded surrogate, a
+# code point past U+10FFFF, a byte never valid in UTF-8; then valid bytes
+INVALID_UTF8 = [b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\xff"]
+VALID_BYTES = [b"\x00", b"\xc3\xa9", b"\t", b"\r"]
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +89,32 @@ def test_mutated_files_exit_cleanly(files, capsys):
                 assert "nan" not in out and "inf" not in out, (argv, text)
             runs += 1
     assert runs > SWAPS
+
+
+def test_corrupted_bytes_exit_cleanly(files, capsys):
+    root, data, models, preds = files
+    sources = {**models, "libsvm": data, "predictions": preds}
+    path = str(root / "corrupted.txt")
+    rng = np.random.default_rng(1)
+    for kind, source in sorted(sources.items()):
+        with open(source, "rb") as handle:
+            content = handle.read()
+        for _ in range(CORRUPTIONS):
+            invalid = bool(rng.integers(4))
+            pool = INVALID_UTF8 if invalid else VALID_BYTES
+            bad = pool[rng.integers(len(pool))]
+            at = int(rng.integers(len(content)))
+            # replace one byte, or insert before it
+            corrupted = content[:at] + bad + content[at + int(rng.integers(2)):]
+            with open(path, "wb") as handle:
+                handle.write(corrupted)
+            for argv in _commands(kind, path, data, models, preds):
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert code in (0, 2), (argv, corrupted)
+                if invalid:
+                    # every file here is read whole, so the bad bytes are always seen
+                    assert code == 2, (argv, corrupted)
+                    assert captured.err.startswith("data error: "), captured.err
+                    assert "is not UTF-8 text" in captured.err
+                    assert len(captured.err.splitlines()) == 1

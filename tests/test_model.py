@@ -1,5 +1,8 @@
 import dataclasses
 import io
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +21,14 @@ from assetsvm import (
     build_nystrom,
     decide,
     eval_counts,
+    halves,
     load_model,
     predict_label,
     recover_alpha,
     reset_eval_counts,
     save_model,
 )
+from assetsvm import model as model_module
 from assetsvm.model import model_to_text
 from helpers import (
     dense_vector,
@@ -32,6 +37,7 @@ from helpers import (
     kernel_eval,
     matrix_dataset,
     planted_dataset,
+    split_files,
     to_dense,
 )
 
@@ -345,10 +351,82 @@ class TestSaveLoad:
         b=st.floats(-5.0, 5.0),
         seed=st.integers(0, 2**32 - 1),
         task=st.sampled_from(["classification", "regression"]),
+        split=st.booleans(),
     )
-    def test_fourier_decisions_survive_save_and_load(self, n, dim, sigma, b, seed, task):
+    def test_fourier_decisions_survive_save_and_load(self, n, dim, sigma, b, seed, task, split):
         model = fourier_model(n=n, dim=dim, b=b, sigma=sigma, seed=seed, task=task)
         self.assert_roundtrip_decides_alike(model, seed)
+        # the same through a file, its frequency rows split between two
+        # processes or not
+        with tempfile.TemporaryDirectory() as root, split_files(split) as outcomes:
+            path = os.path.join(root, "model.txt")
+            save_model(model, path)
+            with open(path, "rb") as handle:
+                assert handle.read() == model_to_text(model).encode("utf-8")
+            loaded = load_model(path)
+        assert outcomes == ([None, None] if split and dim >= 2 else [])
+        assert np.array_equal(loaded.payload.frequencies, model.payload.frequencies)
+        assert model_to_text(loaded) == model_to_text(model)
+
+
+class TestSplitModelFiles:
+    """Large cosine models: a forked child formats or parses half of the frequency rows."""
+
+    @staticmethod
+    def outcome(path):
+        try:
+            return model_to_text(load_model(path))
+        except ModelFormatError as exc:
+            return ModelFormatError, str(exc)
+
+    @pytest.mark.parametrize(
+        "dim, bad_row, fallback",
+        [
+            (2, None, None), (3, None, None), (9, None, None),
+            (9, 2, ModelFormatError), (2, -1, halves.ChildFailed), (9, -1, halves.ChildFailed),
+        ],
+    )
+    def test_split_load_agrees_with_the_sequential_load(self, dim, bad_row, fallback, tmp_path):
+        text = model_to_text(fourier_model(n=5, dim=dim, seed=dim))
+        if bad_row is not None:
+            lines = text.splitlines(True)
+            freq = [k for k, line in enumerate(lines) if line.startswith("freq ")]
+            lines[freq[bad_row]] = "freq 1 2\n"
+            text = "".join(lines)
+        path = tmp_path / "model.txt"
+        path.write_text(text, encoding="utf-8")
+        with split_files(False):
+            expected = self.outcome(str(path))
+        with split_files(True) as outcomes:
+            assert self.outcome(str(path)) == expected
+        assert outcomes == [fallback]
+
+    def test_failed_child_gives_the_sequential_outcome(self, tmp_path):
+        model = fourier_model(n=5, dim=9, seed=3)
+        path = str(tmp_path / "model.txt")
+        with split_files(True) as outcomes:
+            with mock.patch.object(
+                model_module, "_send_freq_text", side_effect=RuntimeError("child fails")
+            ):
+                save_model(model, path)
+            with open(path, "rb") as handle:
+                assert handle.read() == model_to_text(model).encode("utf-8")
+            with mock.patch.object(
+                model_module, "_send_freq_rows", side_effect=RuntimeError("child fails")
+            ):
+                assert self.outcome(path) == model_to_text(model)
+        assert outcomes == [halves.ChildFailed, halves.ChildFailed]
+
+    def test_invalid_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.txt"
+        text = model_to_text(fourier_model(n=5, dim=9, seed=3)).encode("utf-8")
+        path.write_bytes(text.replace(b"\nfreq", b"\n\xc3freq", 1))
+        for split in (True, False):
+            with split_files(split):
+                assert self.outcome(str(path)) == (
+                    ModelFormatError,
+                    "model file is not UTF-8 text (invalid continuation byte: b'\\xc3')",
+                )
 
 
 class TestModelType:
