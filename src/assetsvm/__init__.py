@@ -34,6 +34,7 @@ from .model import (
     ModelFormatError,
     NystromRecovery,
     decide,
+    decide_all,
     load_model,
     predict_label,
     recover_alpha,

@@ -26,9 +26,9 @@ from .kernels import (
     build_nystrom,
 )
 from .linalg import ConvergenceError
-from .model import Model, ModelFormatError, decide, load_model, recover_alpha, save_model
-# not called here; bench/spans.py traces calls through cli.predict_label
-from .model import predict_label  # noqa: F401
+from .model import Model, ModelFormatError, decide_all, load_model, recover_alpha, save_model
+# not called here; bench/spans.py traces calls through cli.decide and cli.predict_label
+from .model import decide, predict_label  # noqa: F401
 from .oracle import feature_objective
 from .solver import (
     SolverParams,
@@ -299,15 +299,12 @@ def cmd_train(config: argparse.Namespace) -> int:
 def cmd_predict(config: argparse.Namespace) -> int:
     model = load_model(config.model)
     data = load_libsvm(config.data, "regression", n_override=model.input_dim)
-    lines = []
-    for x in data.examples:
-        value = decide(model, x)
-        if model.task == "classification":
-            # the tie rule of predict_label, without a second decision
-            lines.append(f"{'+1' if value >= 0.0 else '-1'} {value!r}\n")
-        else:
-            lines.append(f"{value!r}\n")
-    text = "".join(lines)
+    scores = decide_all(model, data.examples).tolist()
+    if model.task == "classification":
+        # the tie rule of predict_label, without a second decision
+        text = "".join(f"{'+1' if value >= 0.0 else '-1'} {value!r}\n" for value in scores)
+    else:
+        text = "".join(f"{value!r}\n" for value in scores)
     if config.out is None:
         sys.stdout.write(text)
     else:
@@ -354,7 +351,7 @@ def cmd_eval(config: argparse.Namespace) -> int:
         data = load_libsvm(config.data, task, n_override=model.input_dim)
         if data.m < 1:
             raise DataFormatError("evaluation file contains no examples")
-        scores = np.array([decide(model, x) for x in data.examples])
+        scores = decide_all(model, data.examples)
     else:
         task = config.task
         data = load_libsvm(config.data, task)

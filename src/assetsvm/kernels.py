@@ -52,6 +52,12 @@ def eval_counts() -> dict[str, int]:
     return dict(_counts)
 
 
+def add_eval_counts(kernel: int, cosine: int) -> None:
+    """Count evaluations made elsewhere, such as by a scoring child process."""
+    _counts["kernel"] += kernel
+    _counts["cosine"] += cosine
+
+
 @dataclass(frozen=True)
 class GaussianKernel:
     """k(s, t) = exp(-sigma * ||s - t||^2) with width parameter sigma > 0."""

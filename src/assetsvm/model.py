@@ -25,8 +25,16 @@ from typing import IO, Iterator
 import numpy as np
 
 from . import halves
-from .data import DataFormatError, SparseVector, format_row, not_utf8, parse_row
-from .kernels import FourierMap, GaussianKernel, Landmarks, NystromMap
+from .data import DataFormatError, SparseRows, SparseVector, format_row, not_utf8, parse_row
+from .kernels import (
+    FourierMap,
+    GaussianKernel,
+    Landmarks,
+    NystromMap,
+    add_eval_counts,
+    eval_counts,
+    reset_eval_counts,
+)
 
 MODEL_HEADER = "ASSET-MODEL v1"
 TASK_NAMES = ("classification", "regression")
@@ -35,6 +43,14 @@ APPROX_NAMES = ("nystrom", "fourier")
 # doubles drawn from a normal distribution print as 18-21 of them. It sizes
 # a file before it is written, to decide whether to split the formatting.
 FLOAT_TEXT_BYTES = 20
+# Scoring splits between this process and a child once the rows' kernel
+# values or cosines, points times s or d, reach this many. A decision costs
+# 5-10 µs, and the split's fixed cost (fork, the child's start and exit) is
+# several milliseconds. In alternating timed runs on a 2-core x86 host (one
+# BLAS thread) the split broke even between 64 000 and 80 000 with dense
+# rows (s = 80, d = 64) and near 100 000 with sparse 1000-feature rows
+# (d = 128); from 128 000 on it won everywhere.
+MIN_SPLIT_EVALS = 100_000
 
 
 class ModelFormatError(ValueError):
@@ -143,6 +159,57 @@ def decide(model: Model, x: SparseVector) -> float:
 def predict_label(model: Model, x: SparseVector) -> int:
     """Classification label with ties at zero resolved to +1."""
     return 1 if decide(model, x) >= 0.0 else -1
+
+
+def _evals_per_point(model: Model) -> int:
+    if model.approx == "fourier":
+        return model.payload.dim
+    return len(model.payload.landmarks)
+
+
+def _decide_into(model: Model, rows: SparseRows, out: np.ndarray) -> None:
+    for i, x in enumerate(rows):
+        # through the module attribute, which the benchmark's tracer wraps
+        out[i] = decide(model, x)
+
+
+def _send_scores(model: Model, rows: SparseRows, pipe: IO[bytes]) -> None:
+    """The child's half of a scoring: the rows' decisions, then its kernel and cosine counts."""
+    reset_eval_counts()
+    scores = np.empty(len(rows))
+    _decide_into(model, rows, scores)
+    counts = eval_counts()
+    pipe.write(scores)
+    pipe.write(np.array([counts["kernel"], counts["cosine"]], dtype=np.int64))
+
+
+def decide_all(model: Model, rows: SparseRows) -> np.ndarray:
+    """Raw decision value of every row, one :func:`decide` call per row.
+
+    Each score is independent of the others and costs the same s kernel
+    values or d cosines, so at ``MIN_SPLIT_EVALS`` and above a forked
+    child (see :mod:`assetsvm.halves`) decides the second half of the rows
+    while this process decides the first; the child's evaluations are then
+    added to this process's counters. After a failure on either side every
+    row is decided again here, so the scores, or the error, are the same
+    either way.
+    """
+    scores = np.empty(len(rows))
+    half = len(rows) // 2
+    if half and len(rows) * _evals_per_point(model) >= MIN_SPLIT_EVALS and halves.available():
+        counts = np.empty(2, dtype=np.int64)
+        try:
+            with halves.child(functools.partial(_send_scores, model, rows[half:])) as pipe:
+                _decide_into(model, rows[:half], scores[:half])
+                halves.read_exact(pipe, scores[half:])
+                halves.read_exact(pipe, counts)
+        except Exception:
+            pass  # every row is decided again below, where a failing row raises
+        else:
+            add_eval_counts(*counts.tolist())
+            return scores
+    _decide_into(model, rows, scores)
+    return scores
 
 
 def _fmt(value: float) -> str:

@@ -17,6 +17,7 @@ from assetsvm import (
     format_libsvm,
     halves,
 )
+from assetsvm import model as model_module
 
 
 def dense_vector(values) -> SparseVector:
@@ -120,7 +121,8 @@ def write_libsvm(path, data: Dataset) -> str:
 
 @contextlib.contextmanager
 def split_files(on: bool):
-    """Split every file between two processes (on) or none (off); yield each split's outcome.
+    """Split every file and every scoring between two processes (on) or none
+    (off); yield each split's outcome.
 
     The list gets None for a split whose child delivered its half and the
     exception type for one that failed and fell back to the sequential path,
@@ -139,6 +141,8 @@ def split_files(on: bool):
             raise
         outcomes.append(None)
 
-    with mock.patch.object(halves, "MIN_BYTES", 0 if on else 1 << 62), \
+    threshold = 0 if on else 1 << 62
+    with mock.patch.object(halves, "MIN_BYTES", threshold), \
+            mock.patch.object(model_module, "MIN_SPLIT_EVALS", threshold), \
             mock.patch.object(halves, "child", recorded):
         yield outcomes

@@ -7,7 +7,7 @@ import pytest
 
 from assetsvm import ModelFormatError, eval_counts, load_model, reset_eval_counts
 from assetsvm.cli import build_parser, main
-from helpers import matrix_dataset, sinusoid_dataset, two_moons, write_libsvm
+from helpers import matrix_dataset, sinusoid_dataset, split_files, two_moons, write_libsvm
 
 
 @pytest.fixture()
@@ -458,9 +458,12 @@ class TestEval:
         """Train with ``approx`` flags, then the error from eval --model, from
         eval --pred over predict's output, and from the last metrics row.
 
-        The last metrics row scores the returned model on --eval-data.
-        The two eval outputs are left in captured stdout; the metrics
-        row's error column is returned.
+        Predict and both evals run with every file and scoring split
+        between two processes and with none; the predictions must be the
+        same bytes either way. The last metrics row scores the returned
+        model on --eval-data. The four eval outputs are left in captured
+        stdout, sequential first; the metrics row's error column is
+        returned.
         """
         if task == "class":
             train_set, eval_set = two_moons(300, seed=2), two_moons(200, seed=3)
@@ -470,17 +473,27 @@ class TestEval:
             flags = ["--sigma", "20.0", "--epsilon", "0.05"]
         train = write_libsvm(tmp_path / "train.svm", train_set)
         data = write_libsvm(tmp_path / "eval.svm", eval_set)
-        model, preds, metrics = (str(tmp_path / f) for f in ("model.txt", "preds.txt", "m.csv"))
+        model, metrics = (str(tmp_path / f) for f in ("model.txt", "m.csv"))
         code = main(
             ["train", "--task", task, *approx, "--lambda", "0.001",
              "--epochs", "3", "--checks-per-epoch", "1", "--data", train, "--model", model,
              "--eval-data", data, "--metrics", metrics, *flags]
         )
         assert code == 0
-        assert main(["predict", "--model", model, "--data", data, "--out", preds]) == 0
         eps = flags[-2:] if task == "regress" else []
-        assert main(["eval", "--model", model, "--data", data, *eps]) == 0
-        assert main(["eval", "--pred", preds, "--data", data, "--task", task, *eps]) == 0
+        predictions = []
+        for split in (False, True):
+            preds = str(tmp_path / f"preds-{split}.txt")
+            with split_files(split) as outcomes:
+                assert main(["predict", "--model", model, "--data", data, "--out", preds]) == 0
+                assert main(["eval", "--model", model, "--data", data, *eps]) == 0
+                assert main(["eval", "--pred", preds, "--data", data, "--task", task, *eps]) == 0
+            # every split delivered its half; none fell back
+            assert bool(outcomes) == split
+            assert all(outcome is None for outcome in outcomes)
+            with open(preds, "rb") as handle:
+                predictions.append(handle.read())
+        assert predictions[0] == predictions[1]
         with open(metrics) as handle:
             from_metrics = handle.read().splitlines()[-1].split(",")[-1]
         return from_metrics
@@ -488,14 +501,16 @@ class TestEval:
     @pytest.mark.parametrize("task", ["class", "regress"])
     def test_model_pred_and_metrics_errors_agree(self, task, tmp_path, capsys):
         from_metrics = self._three_errors(task, ["--approx", "fourier", "--d", "32"], tmp_path)
-        from_model, from_pred = capsys.readouterr().out.split()
+        from_model, from_pred, *split_outputs = capsys.readouterr().out.split()
+        assert split_outputs == [from_model, from_pred]
         assert from_model == from_pred == from_metrics
         assert float(from_model) > 0.0
 
     @pytest.mark.parametrize("task", ["class", "regress"])
     def test_landmark_model_pred_and_metrics_errors_agree(self, task, tmp_path, capsys):
         from_metrics = self._three_errors(task, ["--approx", "nystrom", "--s", "40"], tmp_path)
-        from_model, from_pred = capsys.readouterr().out.split()
+        from_model, from_pred, *split_outputs = capsys.readouterr().out.split()
+        assert split_outputs == [from_model, from_pred]
         assert from_model == from_pred
         assert float(from_model) > 0.0
         # the metrics score landmark feature rows, a model its kernel
@@ -666,12 +681,16 @@ class TestPipedInput:
         train, test = moons_files
         model = str(tmp_path / "model.txt")
         assert main(train_args(train, model, **{"--s": "16", "--epochs": "1"})) == 0
-        from_file = str(tmp_path / "file.txt")
-        assert main(["predict", "--model", model, "--data", test, "--out", from_file]) == 0
         result = self._run_on_stdin(["predict", "--model", model], test, tmp_path)
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 300
-        assert result.stdout == open(from_file).read()
+        # from a file, with the parsing and the scoring split or not
+        for split in (False, True):
+            from_file = str(tmp_path / f"file-{split}.txt")
+            with split_files(split) as outcomes:
+                assert main(["predict", "--model", model, "--data", test, "--out", from_file]) == 0
+            assert outcomes == ([None, None] if split else [])
+            assert result.stdout == open(from_file).read()
 
     def test_train_from_a_pipe_writes_the_same_model(self, moons_files, tmp_path):
         train, _ = moons_files
