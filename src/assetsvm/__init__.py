@@ -39,6 +39,7 @@ from .model import (
     predict_label,
     recover_alpha,
     save_model,
+    score_file,
 )
 from .oracle import ExactSolution, feature_objective, gram_matrix, kernel_objective, solve_exact
 from .solver import (

@@ -26,7 +26,7 @@ from .kernels import (
     build_nystrom,
 )
 from .linalg import ConvergenceError
-from .model import Model, ModelFormatError, decide_all, load_model, recover_alpha, save_model
+from .model import Model, ModelFormatError, load_model, recover_alpha, save_model, score_file
 # not called here; bench/spans.py traces calls through cli.decide and cli.predict_label
 from .model import decide, predict_label  # noqa: F401
 from .oracle import feature_objective
@@ -298,8 +298,8 @@ def cmd_train(config: argparse.Namespace) -> int:
 
 def cmd_predict(config: argparse.Namespace) -> int:
     model = load_model(config.model)
-    data = load_libsvm(config.data, "regression", n_override=model.input_dim)
-    scores = decide_all(model, data.examples).tolist()
+    _, scores = score_file(model, config.data, "regression")
+    scores = scores.tolist()
     if model.task == "classification":
         # the tie rule of predict_label, without a second decision
         text = "".join(f"{'+1' if value >= 0.0 else '-1'} {value!r}\n" for value in scores)
@@ -348,19 +348,19 @@ def cmd_eval(config: argparse.Namespace) -> int:
     if config.model is not None:
         model = load_model(config.model)
         task = model.task
-        data = load_libsvm(config.data, task, n_override=model.input_dim)
-        if data.m < 1:
+        labels, scores = score_file(model, config.data, task)
+        if labels.size < 1:
             raise DataFormatError("evaluation file contains no examples")
-        scores = decide_all(model, data.examples)
     else:
         task = config.task
         data = load_libsvm(config.data, task)
+        labels = data.labels
         scores = np.array(_read_predictions(config.pred))
         if scores.size != data.m:
             raise DataFormatError(f"{scores.size} predictions for {data.m} labeled examples")
         if data.m < 1:
             raise DataFormatError("evaluation file contains no examples")
-    print(repr(_eval_error(scores, data.labels, task, config.epsilon)))
+    print(repr(_eval_error(scores, labels, task, config.epsilon)))
     return EXIT_OK
 
 

@@ -432,13 +432,18 @@ def _parse_into(columns: tuple[_Column, ...], source: Iterable[str]) -> None:
         lineno += len(block)
 
 
-def _columns_dataset(
-    columns: tuple[_Column, ...], task: TaskKind, n_override: int | None
-) -> Dataset:
+def _columns_rows(columns: tuple[_Column, ...]) -> tuple[SparseRows, np.ndarray]:
+    """The rows and the raw labels that ``columns`` hold."""
     labels, lengths, indices, values = (column.view() for column in columns)
     indptr = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    return _dataset(SparseRows(indptr, indices, values), labels, task, n_override)
+    return SparseRows(indptr, indices, values), labels
+
+
+def _columns_dataset(
+    columns: tuple[_Column, ...], task: TaskKind, n_override: int | None
+) -> Dataset:
+    return _dataset(*_columns_rows(columns), task, n_override)
 
 
 def _parse(source: Iterable[str], task: TaskKind, n_override: int | None) -> Dataset:
@@ -538,16 +543,30 @@ def _survey(raw: IO[bytes]) -> _Survey:
     return _Survey(newlines, colons, size, split, head_newlines, head_colons)
 
 
-def _send_tail(path: str, start: int, rows_hint: int, nonzeros_hint: int, pipe: IO[bytes]) -> None:
-    """The child's half: parse the file from byte ``start`` on and send the columns.
+def _parse_head(raw: IO[bytes], survey: _Survey, columns: tuple[_Column, ...]) -> None:
+    """Parse the lines of ``raw``, from its current position, up to the survey's split point."""
+    _parse_into(columns, _text(io.BufferedReader(_Prefix(raw, survey.split))))
 
-    The child opens the file itself: a descriptor inherited across the fork
-    shares its offset with the parent's.
+
+def _parse_tail(path: str, survey: _Survey) -> tuple[_Column, ...]:
+    """The columns of the lines of ``path`` from the survey's split point on.
+
+    A split's child calls this; it opens the file itself, because a
+    descriptor inherited across the fork shares its offset with the
+    parent's.
     """
-    columns = _columns(rows_hint, nonzeros_hint)
+    columns = _columns(
+        survey.newlines - survey.head_newlines + 1, survey.colons - survey.head_colons
+    )
     with open(path, "rb") as raw:
-        raw.seek(start)
+        raw.seek(survey.split)
         _parse_into(columns, _text(raw))
+    return columns
+
+
+def _send_tail(path: str, survey: _Survey, pipe: IO[bytes]) -> None:
+    """The child's half of a load: parse the file from the split point on and send the columns."""
+    columns = _parse_tail(path, survey)
     labels, _, indices, _ = columns
     pipe.write(np.array([labels.size, indices.size], dtype=np.int64))
     for column in columns:
@@ -563,16 +582,9 @@ def _parse_halves(path: str, raw: IO[bytes], survey: _Survey, columns: tuple[_Co
     """
     if survey.split is None or not halves.worth_splitting(survey.size):
         return False
-    send = functools.partial(
-        _send_tail,
-        path,
-        survey.split,
-        survey.newlines - survey.head_newlines + 1,
-        survey.colons - survey.head_colons,
-    )
     try:
-        with halves.child(send) as pipe:
-            _parse_into(columns, _text(io.BufferedReader(_Prefix(raw, survey.split))))
+        with halves.child(functools.partial(_send_tail, path, survey)) as pipe:
+            _parse_head(raw, survey, columns)
             sizes = np.empty(2, dtype=np.int64)
             halves.read_exact(pipe, sizes)
             rows, nonzeros = sizes.tolist()
@@ -586,14 +598,16 @@ def _parse_halves(path: str, raw: IO[bytes], survey: _Survey, columns: tuple[_Co
     return True
 
 
-def load_libsvm(path: str, task: TaskKind, n_override: int | None = None) -> Dataset:
+def load_libsvm(
+    path: str, task: TaskKind, n_override: int | None = None, *, split: bool = True
+) -> Dataset:
     """Parse a libsvm file (see :func:`parse_libsvm`).
 
-    A file that is not UTF-8 text is a :class:`DataFormatError`. A large
-    file is parsed in two halves, the second by a forked child (see
-    :mod:`assetsvm.halves`); a failure in either half sends the whole file
-    through the sequential path, so the dataset or the error is the same
-    either way.
+    A file that is not UTF-8 text is a :class:`DataFormatError`. Unless
+    ``split`` is False, a large file is parsed in two halves, the second by
+    a forked child (see :mod:`assetsvm.halves`); a failure in either half
+    sends the whole file through the sequential path, so the dataset or the
+    error is the same either way.
     """
     if task not in TASKS:
         raise DataFormatError(f"unknown task {task!r}")
@@ -607,7 +621,7 @@ def load_libsvm(path: str, task: TaskKind, n_override: int | None = None) -> Dat
             survey = _survey(raw)
             raw.seek(0)
             columns = _columns(survey.newlines + 1, survey.colons)
-            if not _parse_halves(path, raw, survey, columns):
+            if not (split and _parse_halves(path, raw, survey, columns)):
                 with _text(raw) as handle:
                     _parse_into(columns, handle)
             return _columns_dataset(columns, task, n_override)

@@ -2,12 +2,14 @@
 
 Parsing and formatting long runs of floats is bound by CPython's float
 parser and formatter, one value at a time, and scoring decides one point
-at a time. For a large file the loaders and ``save_model``, and for many
-points ``model.decide_all``, split that work in two: this process does one
-half and a child, forked for that job alone, does the other with the same
-code and sends its result back through a pipe. The child is always
-reaped, and a failure on either side makes the caller redo the whole job
-on the sequential path, so outputs and errors are the same either way.
+at a time. ``data.load_libsvm``, ``model.load_model`` and
+``model.save_model`` split a large file in two, and ``model.score_file``
+splits a large file or one of many points, parsing and deciding each half
+in one process: this process does one half and a child, forked for that
+job alone, does the other with the same code and sends its result back
+through a pipe. The child is always reaped, and a failure on either side
+makes the caller redo the whole job on the sequential path, so outputs
+and errors are the same either way.
 
 This module is the package's only caller of ``os.fork``. The program has
 no threads of its own, and the child runs only already-imported code. A

@@ -18,13 +18,13 @@ import itertools
 import math
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import StringIO
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
-from . import halves
+from . import data, halves
 from .data import DataFormatError, SparseRows, SparseVector, format_row, not_utf8, parse_row
 from .kernels import (
     FourierMap,
@@ -43,13 +43,14 @@ APPROX_NAMES = ("nystrom", "fourier")
 # doubles drawn from a normal distribution print as 18-21 of them. It sizes
 # a file before it is written, to decide whether to split the formatting.
 FLOAT_TEXT_BYTES = 20
-# Scoring splits between this process and a child once the rows' kernel
-# values or cosines, points times s or d, reach this many. A decision costs
-# 5-10 µs, and the split's fixed cost (fork, the child's start and exit) is
-# several milliseconds. In alternating timed runs on a 2-core x86 host (one
-# BLAS thread) the split broke even between 64 000 and 80 000 with dense
-# rows (s = 80, d = 64) and near 100 000 with sparse 1000-feature rows
-# (d = 128); from 128 000 on it won everywhere.
+# A libsvm file is scored in two processes (score_file) once it holds
+# halves.MIN_BYTES or its points' kernel values or cosines, points times s
+# or d, reach this many. A decision costs 5-10 µs, and the split's fixed
+# cost (fork, the child's start and exit) is several milliseconds. In
+# alternating timed runs on a 2-core x86 host (one BLAS thread), when the
+# split scored parsed rows, it broke even between 64 000 and 80 000 with
+# dense rows (s = 80, d = 64) and near 100 000 with sparse 1000-feature
+# rows (d = 128); from 128 000 on it won everywhere.
 MIN_SPLIT_EVALS = 100_000
 
 
@@ -85,6 +86,10 @@ class Model:
     sigma: float
     input_dim: int
     payload: FourierMap | NystromRecovery
+    # a decision's two operands, looked up once: the map from a point to
+    # its cosines or kernel values, and the weights dotted with them
+    _features: Callable[[SparseVector], np.ndarray] = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=np.float64))
@@ -107,6 +112,7 @@ class Model:
                     f"frequencies have {width} columns for input dimension {self.input_dim}"
                 )
             payload_sigma = self.payload.kernel.sigma
+            features, weights = self.payload.map_point, self.gamma
         else:
             if not isinstance(self.payload, NystromRecovery):
                 raise ValueError("nystrom models require a NystromRecovery payload")
@@ -116,11 +122,14 @@ class Model:
                     f"landmarks use feature index {width} beyond input dimension {self.input_dim}"
                 )
             payload_sigma = self.payload.landmarks.kernel.sigma
+            features, weights = self.payload.landmarks.row, self.payload.alpha
         if self.sigma != payload_sigma:
             # the file stores Model.sigma, and loading rebuilds the kernel from it
             raise ValueError(
                 f"sigma {self.sigma!r} differs from the payload's kernel width {payload_sigma!r}"
             )
+        object.__setattr__(self, "_features", features)
+        object.__setattr__(self, "_weights", weights)
 
 
 def recover_alpha(nmap: NystromMap, gamma: np.ndarray) -> NystromRecovery:
@@ -150,10 +159,7 @@ def decide(model: Model, x: SparseVector) -> float:
         raise ValueError(
             f"point uses feature index {idx[-1] + 1} beyond model dimension {model.input_dim}"
         )
-    if model.approx == "fourier":
-        return float(model.payload.map_point(x).dot(model.gamma)) + model.b
-    payload = model.payload
-    return float(payload.landmarks.row(x).dot(payload.alpha)) + model.b
+    return float(model._features(x).dot(model._weights)) + model.b
 
 
 def predict_label(model: Model, x: SparseVector) -> int:
@@ -167,49 +173,93 @@ def _evals_per_point(model: Model) -> int:
     return len(model.payload.landmarks)
 
 
-def _decide_into(model: Model, rows: SparseRows, out: np.ndarray) -> None:
+def decide_all(model: Model, rows: SparseRows) -> np.ndarray:
+    """Raw decision value of every row, one :func:`decide` call per row."""
+    scores = np.empty(len(rows))
     for i, x in enumerate(rows):
         # through the module attribute, which the benchmark's tracer wraps
-        out[i] = decide(model, x)
+        scores[i] = decide(model, x)
+    return scores
 
 
-def _send_scores(model: Model, rows: SparseRows, pipe: IO[bytes]) -> None:
-    """The child's half of a scoring: the rows' decisions, then its kernel and cosine counts."""
+def _checked_rows(model: Model, columns: tuple) -> tuple[SparseRows, np.ndarray]:
+    """The rows and raw labels of parsed ``columns``, if no row is wider than the model."""
+    rows, labels = data._columns_rows(columns)
+    if rows.width > model.input_dim:
+        raise DataFormatError(f"a point is wider than the model's dimension {model.input_dim}")
+    return rows, labels
+
+
+def _send_tail_scores(model: Model, path: str, survey: data._Survey, pipe: IO[bytes]) -> None:
+    """The child's half of :func:`score_file`: parse and decide the rows after
+    the split point, then send their count, raw labels and scores, and the
+    kernel and cosine counts."""
     reset_eval_counts()
-    scores = np.empty(len(rows))
-    _decide_into(model, rows, scores)
+    rows, labels = _checked_rows(model, data._parse_tail(path, survey))
+    scores = decide_all(model, rows)
     counts = eval_counts()
+    pipe.write(np.array([len(rows)], dtype=np.int64))
+    pipe.write(labels)
     pipe.write(scores)
     pipe.write(np.array([counts["kernel"], counts["cosine"]], dtype=np.int64))
 
 
-def decide_all(model: Model, rows: SparseRows) -> np.ndarray:
-    """Raw decision value of every row, one :func:`decide` call per row.
-
-    Each score is independent of the others and costs the same s kernel
-    values or d cosines, so at ``MIN_SPLIT_EVALS`` and above a forked
-    child (see :mod:`assetsvm.halves`) decides the second half of the rows
-    while this process decides the first; the child's evaluations are then
-    added to this process's counters. After a failure on either side every
-    row is decided again here, so the scores, or the error, are the same
-    either way.
-    """
-    scores = np.empty(len(rows))
-    half = len(rows) // 2
-    if half and len(rows) * _evals_per_point(model) >= MIN_SPLIT_EVALS and halves.available():
-        counts = np.empty(2, dtype=np.int64)
-        try:
-            with halves.child(functools.partial(_send_scores, model, rows[half:])) as pipe:
-                _decide_into(model, rows[:half], scores[:half])
-                halves.read_exact(pipe, scores[half:])
+def _score_halves(model: Model, path: str, task: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`score_file` split in two processes, or None when it is not split or fails."""
+    if not halves.available():
+        return None
+    before = eval_counts()
+    try:
+        with open(path, "rb") as raw:
+            if not raw.seekable():
+                return None
+            survey = data._survey(raw)
+            evals = survey.newlines * _evals_per_point(model)
+            if survey.split is None or (survey.size < halves.MIN_BYTES and evals < MIN_SPLIT_EVALS):
+                return None
+            raw.seek(0)
+            with halves.child(functools.partial(_send_tail_scores, model, path, survey)) as pipe:
+                columns = data._columns(survey.head_newlines + 1, survey.head_colons)
+                data._parse_head(raw, survey, columns)
+                rows, head_labels = _checked_rows(model, columns)
+                head_scores = decide_all(model, rows)
+                count = np.empty(1, dtype=np.int64)
+                halves.read_exact(pipe, count)
+                tail = np.empty((2, int(count[0])))  # labels, then scores
+                halves.read_exact(pipe, tail)
+                counts = np.empty(2, dtype=np.int64)
                 halves.read_exact(pipe, counts)
-        except Exception:
-            pass  # every row is decided again below, where a failing row raises
-        else:
-            add_eval_counts(*counts.tolist())
-            return scores
-    _decide_into(model, rows, scores)
-    return scores
+        labels = np.concatenate((head_labels, tail[0]))
+        if task == "classification" and labels.size:
+            # over the whole file: one half alone may not show a 0/1 file's convention
+            labels = data._map_class_labels(labels)
+    except Exception:
+        # back to the counts before the split: the rerun counts every evaluation again
+        reset_eval_counts()
+        add_eval_counts(before["kernel"], before["cosine"])
+        return None
+    add_eval_counts(*counts.tolist())
+    return labels, np.concatenate((head_scores, tail[1]))
+
+
+def score_file(model: Model, path: str, task: str) -> tuple[np.ndarray, np.ndarray]:
+    """The label and the raw decision value of every point of a libsvm file.
+
+    The labels are mapped as :func:`~assetsvm.data.load_libsvm` maps them
+    for ``task``. A file of at least ``halves.MIN_BYTES``, or whose points
+    need at least ``MIN_SPLIT_EVALS`` kernel values or cosines, is split
+    once (see :mod:`assetsvm.halves`): a forked child parses and decides
+    the points after the middle of the file while this process parses and
+    decides those before it, and the child's evaluations are added to this
+    process's counters. Otherwise, and after a failure on either side, the
+    whole file is loaded and decided here, so the labels and scores, or the
+    error, are the same either way.
+    """
+    split = _score_halves(model, path, task)
+    if split is not None:
+        return split
+    points = data.load_libsvm(path, task, n_override=model.input_dim, split=False)
+    return points.labels, decide_all(model, points.examples)
 
 
 def _fmt(value: float) -> str:

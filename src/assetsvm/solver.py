@@ -23,9 +23,9 @@ coefficient. The pending coefficient-times-row terms are added into u once,
 after the last step. A checkpoint inside the window reads them from a
 separate running sum, which adds one row multiple for each coefficient
 changed since the previous checkpoint; checkpoints never change the solver
-state. Each chunk of draws gets its step sizes, example indices and labels
-from numpy in one pass, with the same floating-point operations as the
-step-by-step formulas.
+state. Each chunk of draws gets its step sizes, shrink factors, example
+indices and labels from numpy in one pass, with the same floating-point
+operations as the step-by-step formulas.
 
 Training is deterministic: identical (data, params, seed) produce
 bit-identical results.
@@ -46,7 +46,8 @@ from .rng import DG_STREAM, XI_STREAM, stream
 VARIANTS = ("averaged", "strongly_convex")
 # Random draws are taken from a stream this many at a time; the chunk size
 # leaves the drawn sequence unchanged and only caps the memory it holds (the
-# solver also holds each chunk's step sizes, examples and labels as lists).
+# solver also holds each chunk's step sizes, shrink factors, examples and
+# labels as lists).
 XI_CHUNK = 1024
 # The iterate is kept as a scale a times a vector v. Once |a| leaves
 # [RENORM_BELOW, 1], a is multiplied into v. The averaged iterate p*v + q*u
@@ -333,6 +334,11 @@ def asset_train(
     seen = None
     avg_b = 0.0
     eta_sum = 0.0
+    # a step's coefficient goes into numpy as a 0-d array, and its multiple
+    # of a row into one buffer: numpy 2 converts a Python float operand
+    # more slowly than it multiplies a short row
+    coef = np.zeros(())
+    delta = np.empty(dim)
 
     xi_rng = stream(params.seed, XI_STREAM)
     emitting = checkpoint_every is not None and on_checkpoint is not None
@@ -343,9 +349,16 @@ def asset_train(
         draws = xi_rng.random(stop - first)
         steps = np.arange(first, stop, dtype=np.float64)
         etas = 1.0 / (lam * steps) if strongly else dx / (dg * np.sqrt(steps))
+        shrinks = 1.0 - etas * lam
         xis = (draws * m).astype(np.intp)
-        chunk = zip(range(first, stop), etas.tolist(), xis.tolist(), data.labels[xis].tolist())
-        for j, eta, xi, y in chunk:
+        chunk = zip(
+            range(first, stop),
+            etas.tolist(),
+            shrinks.tolist(),
+            xis.tolist(),
+            data.labels[xis].tolist(),
+        )
+        for j, eta, shrink, xi, y in chunk:
             row = rows[xi]
             if row is None:
                 row = fetch(data, xi)
@@ -353,14 +366,15 @@ def asset_train(
                 row_sq[xi] = float(row.dot(row))
             s = float(row.dot(v))
             d = loss_direction(a * s + b, y, task, eps)
-            a *= 1.0 - eta * lam
+            a *= shrink
             if abs(a) < renorm_below:
                 v_sq = _fold_scale(a, v, p, q, u)
                 s *= a
                 a, p = 1.0, 0.0
             if d:
                 c = eta * d / a
-                v -= c * row
+                coef[()] = c
+                v -= np.multiply(row, coef, out=delta)
                 v_sq += c * (c * row_sq[xi] - 2.0 * s)
                 if p:
                     pending[xi] += p * c / q
@@ -404,6 +418,9 @@ def asset_train(
                 else:
                     on_checkpoint(j, p * v + q * _settled(u, pending, rows), float(avg_b))
                 next_check = min(j + checkpoint_every, total) if j < total else total + 1
+        # the zip holds this chunk's lists; freed now, they are never alive
+        # together with the next chunk's, which keeps the peak heap down
+        del chunk
 
     if strongly:
         gamma, b = a * v, 0.0

@@ -684,12 +684,12 @@ class TestPipedInput:
         result = self._run_on_stdin(["predict", "--model", model], test, tmp_path)
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 300
-        # from a file, with the parsing and the scoring split or not
+        # from a file, split once between two processes or not at all
         for split in (False, True):
             from_file = str(tmp_path / f"file-{split}.txt")
             with split_files(split) as outcomes:
                 assert main(["predict", "--model", model, "--data", test, "--out", from_file]) == 0
-            assert outcomes == ([None, None] if split else [])
+            assert outcomes == ([None] if split else [])
             assert result.stdout == open(from_file).read()
 
     def test_train_from_a_pipe_writes_the_same_model(self, moons_files, tmp_path):

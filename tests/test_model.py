@@ -120,7 +120,7 @@ class TestRecoverAlpha:
 class TestDecide:
     def test_constant_model(self):
         model = fourier_model(b=0.7)
-        object.__setattr__(model, "gamma", np.zeros(model.gamma.size))
+        model = dataclasses.replace(model, gamma=np.zeros(model.gamma.size))
         rng = np.random.default_rng(6)
         for _ in range(10):
             assert decide(model, dense_vector(rng.normal(size=4))) == 0.7
@@ -138,7 +138,7 @@ class TestDecide:
 
     def test_tie_goes_positive(self):
         model = fourier_model(b=0.0)
-        object.__setattr__(model, "gamma", np.zeros(model.gamma.size))
+        model = dataclasses.replace(model, gamma=np.zeros(model.gamma.size))
         assert predict_label(model, dense_vector([0.0, 0.0, 0.0, 0.0])) == 1
 
     def test_kernel_evaluation_count_is_sample_size(self):

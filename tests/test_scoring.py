@@ -1,13 +1,15 @@
-"""One scoring function, ``decide_all``, split between two processes.
+"""One split per file for ``predict`` and ``eval --model``.
 
-``predict`` and ``eval --model`` score every point through
-``model.decide_all``. From ``model.MIN_SPLIT_EVALS`` kernel values or
-cosines on, a forked child decides the second half of the rows. These
-tests force that split (``helpers.split_files``) on inputs far below the
-threshold and check that it changes nothing a user or the benchmark can
-see: the exit code and message of a failing point, the evaluation
-counters, the traced spans, and the output bytes in fresh interpreters at
-one and two BLAS threads.
+Both commands score a libsvm file through ``model.score_file``. From
+``halves.MIN_BYTES`` bytes or ``model.MIN_SPLIT_EVALS`` kernel values or
+cosines on, it forks one child, which parses and decides the points after
+the middle of the file while this process parses and decides those before
+it. These tests force that split (``helpers.split_files``) on inputs far
+below both thresholds and check that it changes nothing a user or the
+benchmark can see: the exit code and message of a failing point or line,
+the labels of a 0/1 file, the evaluation counters, the traced spans, and
+the output bytes in fresh interpreters at one and two BLAS threads. Each
+command forks once, and no child outlives it.
 """
 
 from __future__ import annotations
@@ -16,16 +18,38 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from assetsvm import data as data_module
 from assetsvm import eval_counts, halves, reset_eval_counts
+from assetsvm import model as model_module
 from assetsvm.cli import main
 from helpers import split_files, two_moons, write_libsvm
 
 TESTS = Path(__file__).resolve().parent
 BENCH = TESTS.parent / "bench"
 APPROXES = [("nystrom", ["--s", "9"]), ("fourier", ["--d", "13"])]
+
+
+def head_rows(path) -> int:
+    """The rows before the split point: lines up to the first newline at or after the middle."""
+    raw = Path(path).read_bytes()
+    return raw[: raw.index(b"\n", len(raw) // 2) + 1].count(b"\n")
+
+
+def model_splits(approx) -> list:
+    """The outcomes of a forced split of loading a model file: a cosine model's is split."""
+    return [None] if approx == "fourier" else []
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def train_model(approx, size, root) -> str:
@@ -73,7 +97,10 @@ def test_a_failing_point_fails_alike_in_either_half(approx, size, value, positio
         with split_files(True) as outcomes:
             assert main(command) == 3
         captured = capsys.readouterr()
-        assert outcomes[-1] is (FloatingPointError if position == "parent" else halves.ChildFailed)
+        # one split of the points, and the rerun after it stays in this
+        # process; a cosine model's file was split as it loaded
+        failed = FloatingPointError if position == "parent" else halves.ChildFailed
+        assert outcomes == model_splits(approx) + [failed]
         assert captured == expected
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
@@ -99,14 +126,93 @@ def test_split_scoring_keeps_counts_and_spans(spans, approx, size, tmp_path):
             assert eval_counts() == {"kernel": 0, "cosine": 0, kind: m * per_point}
             with spans.installed(spans.Tracer()) as tracer:
                 assert main(command) == 0
-        assert outcomes and all(outcome is None for outcome in outcomes)
-        # the parent's half is traced one span per point; the child's spans
-        # stay in the child, but its evaluations reach the command's span
+        # one split of the points per command, and each child delivered its half
+        assert outcomes == 2 * (model_splits(approx) + [None])
+        # the parent's half, the rows before the byte split point, is traced
+        # one span per point; the child's spans stay in the child, but its
+        # evaluations reach the command's span
         decides = [s for s in tracer.spans if s.name == "model.decide"]
-        assert len(decides) == m // 2
+        assert 0 < head_rows(test) < m
+        assert len(decides) == head_rows(test)
         assert {s.evals for s in decides} == {per_point}
         (command_span,) = [s for s in tracer.spans if s.name == name]
         assert command_span.evals == m * per_point
+
+
+@pytest.mark.parametrize("approx, size", APPROXES, ids=["nystrom", "fourier"])
+def test_a_failed_child_gives_the_unsplit_output_and_counts(approx, size, tmp_path):
+    # the parent decided its half before the child failed; the rerun
+    # decides every point again, and each evaluation is counted once
+    model = train_model(approx, size, tmp_path)
+    m, per_point = 41, int(size[1])
+    test = write_libsvm(tmp_path / "test.svm", two_moons(m, seed=4))
+    out = tmp_path / "preds.txt"
+    command = ["predict", "--model", model, "--data", test, "--out", str(out)]
+    with split_files(False):
+        assert main(command) == 0
+    expected = out.read_bytes()
+    failing = mock.patch.object(model_module, "_send_tail_scores",
+                                side_effect=RuntimeError("child fails"))
+    with split_files(True) as outcomes, failing:
+        reset_eval_counts()
+        assert main(command) == 0
+        assert sum(eval_counts().values()) == m * per_point
+    assert outcomes == model_splits(approx) + [halves.ChildFailed]
+    assert out.read_bytes() == expected
+
+
+def test_labels_of_a_01_file_are_mapped_over_both_halves(tmp_path, capsys):
+    # the first half holds only label 1 and the second only label 0: each
+    # half alone would keep its 1s or reject its 0s, the whole file maps
+    # 0 to -1
+    model = train_model("nystrom", ["--s", "9"], tmp_path)
+    data = tmp_path / "points.svm"
+    # the labels have one character each, so the split point does not move
+    # when they change
+    points = two_moons(40, seed=8).examples
+    features = [" 1:{!r} 2:{!r}\n".format(*x.values.tolist()) for x in points]
+    data.write_text("".join("1" + line for line in features))
+    head = head_rows(data)
+    assert 0 < head < len(features)
+    data.write_text("".join(("1" if k < head else "0") + line for k, line in enumerate(features)))
+    command = ["eval", "--model", model, "--data", str(data)]
+    with split_files(False):
+        assert main(command) == 0
+    expected = capsys.readouterr()
+    # the split's own labels and scores, not a sequential rerun's, are printed
+    rerun = mock.patch.object(data_module, "load_libsvm", side_effect=AssertionError("rerun"))
+    with split_files(True) as outcomes, rerun:
+        assert main(command) == 0
+    assert outcomes == [None]
+    assert capsys.readouterr() == expected
+    assert float(expected.out) > 0.0
+
+
+@pytest.mark.parametrize("last, message", [
+    (b"+1 1:0.5 2:x\n", "line 10: non-numeric feature token '2:x'"),
+    (b"+1 1:0.5 3:0.25\n", "dimension override 2 is below the largest index 3"),
+    (b"+1 1:0.5 2:\xff\n", "libsvm file is not UTF-8 text (invalid start byte: b'\\xff')"),
+], ids=["malformed", "past-the-model", "not-utf8"])
+def test_a_bad_line_in_the_childs_half_fails_as_unsplit(last, message, tmp_path, capsys):
+    model = train_model("nystrom", ["--s", "9"], tmp_path)
+    data = tmp_path / "points.svm"
+    data.write_bytes(b"".join(f"+1 1:{0.1 * k} 2:-0.5\n".encode() for k in range(9)) + last)
+    assert head_rows(data) < 9
+    out = tmp_path / "preds.txt"
+    for command in (
+        ["predict", "--model", model, "--data", str(data), "--out", str(out)],
+        ["eval", "--model", model, "--data", str(data)],
+    ):
+        with split_files(False):
+            assert main(command) == 2
+        expected = capsys.readouterr()
+        with split_files(True) as outcomes:
+            assert main(command) == 2
+        assert outcomes == [halves.ChildFailed]
+        assert no_child_left()
+        assert capsys.readouterr() == expected
+        assert expected.err == f"data error: {message}\n"
+        assert not out.exists()
 
 
 # Trains, predicts and evaluates each case with every split off, then on,
