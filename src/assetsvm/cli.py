@@ -49,6 +49,8 @@ VARIANT_BY_FLAG = {"averaged": "averaged", "strong": "strongly_convex"}
 # features on a 2-core x86 host, so this many draws already take half a
 # minute; larger values are rejected rather than left to run for hours.
 MAX_DG_SAMPLE = 10_000_000
+# predict formats and writes its lines this many points at a time
+PREDICT_CHUNK = 1024
 
 
 class UsageError(Exception):
@@ -299,16 +301,22 @@ def cmd_train(config: argparse.Namespace) -> int:
 def cmd_predict(config: argparse.Namespace) -> int:
     model = load_model(config.model)
     _, scores = score_file(model, config.data, "regression")
-    scores = scores.tolist()
-    if model.task == "classification":
-        # the tie rule of predict_label, without a second decision
-        text = "".join(f"{'+1' if value >= 0.0 else '-1'} {value!r}\n" for value in scores)
-    else:
-        text = "".join(f"{value!r}\n" for value in scores)
+    classify = model.task == "classification"
     if config.out is None:
-        sys.stdout.write(text)
+        sink = contextlib.nullcontext(sys.stdout)
     else:
-        with open(config.out, "w", encoding="utf-8") as handle:
+        sink = open(config.out, "w", encoding="utf-8")
+    with sink as handle:
+        # a chunk of lines at a time: the whole text is never held
+        for start in range(0, scores.size, PREDICT_CHUNK):
+            values = scores[start : start + PREDICT_CHUNK].tolist()
+            if classify:
+                # the tie rule of predict_label, without a second decision
+                text = "".join(
+                    f"{'+1' if value >= 0.0 else '-1'} {value!r}\n" for value in values
+                )
+            else:
+                text = "".join(f"{value!r}\n" for value in values)
             handle.write(text)
     return EXIT_OK
 

@@ -8,6 +8,7 @@ immutable once built and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import itertools
@@ -416,34 +417,46 @@ def _dataset(
     return Dataset(rows, raw_labels, n, task)
 
 
-def _parse_into(columns: tuple[_Column, ...], source: Iterable[str]) -> None:
-    """Append the labels, row lengths, indices and values of every line to ``columns``."""
+def _parsed_blocks(
+    source: Iterable[str],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The labels, row lengths, 0-based indices and values of each block of lines.
+
+    From the first block that :func:`_parse_block` rejects on, the last
+    item is the line path's result for that block and every line after it.
+    """
     lines = iter(source)
     lineno = 0
     while block := _take_block(lines):
         parsed = _parse_block(block)
         if parsed is None:
-            # the line path parses this block and every line after it
             rest, rest_labels = _parse_lines(itertools.chain(block, lines), lineno)
             tail = SparseRows.of(rest)
-            parsed = (np.array(rest_labels), np.diff(tail.indptr), tail.indices, tail.values)
-        for column, piece in zip(columns, parsed):
-            column.extend(piece)
+            yield np.array(rest_labels), np.diff(tail.indptr), tail.indices, tail.values
+            return
+        yield parsed
         lineno += len(block)
 
 
-def _columns_rows(columns: tuple[_Column, ...]) -> tuple[SparseRows, np.ndarray]:
-    """The rows and the raw labels that ``columns`` hold."""
-    labels, lengths, indices, values = (column.view() for column in columns)
+def _parse_into(columns: tuple[_Column, ...], source: Iterable[str]) -> None:
+    """Append the labels, row lengths, indices and values of every line to ``columns``."""
+    for parsed in _parsed_blocks(source):
+        for column, piece in zip(columns, parsed):
+            column.extend(piece)
+
+
+def _block_rows(lengths: np.ndarray, indices: np.ndarray, values: np.ndarray) -> SparseRows:
+    """CSR rows from their lengths and their concatenated indices and values."""
     indptr = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    return SparseRows(indptr, indices, values), labels
+    return SparseRows(indptr, indices, values)
 
 
 def _columns_dataset(
     columns: tuple[_Column, ...], task: TaskKind, n_override: int | None
 ) -> Dataset:
-    return _dataset(*_columns_rows(columns), task, n_override)
+    labels, lengths, indices, values = (column.view() for column in columns)
+    return _dataset(_block_rows(lengths, indices, values), labels, task, n_override)
 
 
 def _parse(source: Iterable[str], task: TaskKind, n_override: int | None) -> Dataset:
@@ -543,30 +556,31 @@ def _survey(raw: IO[bytes]) -> _Survey:
     return _Survey(newlines, colons, size, split, head_newlines, head_colons)
 
 
-def _parse_head(raw: IO[bytes], survey: _Survey, columns: tuple[_Column, ...]) -> None:
-    """Parse the lines of ``raw``, from its current position, up to the survey's split point."""
-    _parse_into(columns, _text(io.BufferedReader(_Prefix(raw, survey.split))))
+def _head_text(raw: IO[bytes], survey: _Survey) -> io.TextIOWrapper:
+    """The text of ``raw`` from its current position up to the survey's split point."""
+    return _text(io.BufferedReader(_Prefix(raw, survey.split)))
 
 
-def _parse_tail(path: str, survey: _Survey) -> tuple[_Column, ...]:
-    """The columns of the lines of ``path`` from the survey's split point on.
+@contextlib.contextmanager
+def _tail_text(path: str, survey: _Survey) -> Iterator[io.TextIOWrapper]:
+    """The text of ``path`` from the survey's split point on.
 
-    A split's child calls this; it opens the file itself, because a
+    A split's child reads this; it opens the file itself, because a
     descriptor inherited across the fork shares its offset with the
     parent's.
     """
-    columns = _columns(
-        survey.newlines - survey.head_newlines + 1, survey.colons - survey.head_colons
-    )
     with open(path, "rb") as raw:
         raw.seek(survey.split)
-        _parse_into(columns, _text(raw))
-    return columns
+        yield _text(raw)
 
 
 def _send_tail(path: str, survey: _Survey, pipe: IO[bytes]) -> None:
     """The child's half of a load: parse the file from the split point on and send the columns."""
-    columns = _parse_tail(path, survey)
+    columns = _columns(
+        survey.newlines - survey.head_newlines + 1, survey.colons - survey.head_colons
+    )
+    with _tail_text(path, survey) as text:
+        _parse_into(columns, text)
     labels, _, indices, _ = columns
     pipe.write(np.array([labels.size, indices.size], dtype=np.int64))
     for column in columns:
@@ -584,7 +598,7 @@ def _parse_halves(path: str, raw: IO[bytes], survey: _Survey, columns: tuple[_Co
         return False
     try:
         with halves.child(functools.partial(_send_tail, path, survey)) as pipe:
-            _parse_head(raw, survey, columns)
+            _parse_into(columns, _head_text(raw, survey))
             sizes = np.empty(2, dtype=np.int64)
             halves.read_exact(pipe, sizes)
             rows, nonzeros = sizes.tolist()

@@ -256,20 +256,24 @@ class FourierMap(_TrainingRows):
     ``frequencies`` has one row per feature, drawn from the Gaussian with
     per-coordinate variance 2*sigma; offsets are uniform on [0, 2*pi).
     Mapping a point is sqrt(2/dim) * cos(frequencies @ x + offsets).
-    The frequencies are kept column-major, the layout of a gather of their
-    columns: a point that holds every input feature multiplies them
-    directly, with the same BLAS call, and so the same bits, as the gather
-    a sparse point makes.
+    The frequencies are kept column-major, so their transpose is a
+    row-major (n x dim) view of the same buffer, one row per input
+    feature. A sparse point gathers the rows at its nonzeros and a point
+    that holds every input feature takes the view itself; both then make
+    the same BLAS call on the same layout, and so get the same bits.
     """
 
     kernel: GaussianKernel
     frequencies: np.ndarray
     offsets: np.ndarray
     _scale: np.ndarray = field(init=False, repr=False)
+    # frequencies.T, made once rather than for every point (about 0.1 µs each)
+    _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # a copy only for frequencies not built column-major
         self.frequencies = np.asfortranarray(self.frequencies)
+        self._rows = self.frequencies.T
         # 0-d, like _ZERO
         self._scale = np.array(math.sqrt(2.0 / self.offsets.size))
 
@@ -283,13 +287,13 @@ class FourierMap(_TrainingRows):
         # one buffer: the phase, then its cosine, then the scaled feature
         idx = x.indices
         if idx.size:
-            freqs = self.frequencies
-            # strictly increasing indices, as many as the columns and the
-            # last one the last column, are exactly every column
-            if idx.size != freqs.shape[1] or idx[-1] != idx.size - 1:
-                freqs = freqs[:, idx]
-            # .dot, not @: the same matrix-vector product, with less overhead
-            phase = freqs.dot(x.values)
+            rows = self._rows
+            # strictly increasing indices, as many as the rows and the last
+            # one the last row, are exactly every row
+            if idx.size != rows.shape[0] or idx[-1] != idx.size - 1:
+                rows = rows.take(idx, axis=0)
+            # .dot, not @: the same vector-matrix product, with less overhead
+            phase = x.values.dot(rows)
             phase += self.offsets
         else:
             phase = self.offsets.copy()

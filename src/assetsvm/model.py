@@ -20,7 +20,7 @@ import os
 import shutil
 from dataclasses import dataclass, field
 from io import StringIO
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -182,25 +182,42 @@ def decide_all(model: Model, rows: SparseRows) -> np.ndarray:
     return scores
 
 
-def _checked_rows(model: Model, columns: tuple) -> tuple[SparseRows, np.ndarray]:
-    """The rows and raw labels of parsed ``columns``, if no row is wider than the model."""
-    rows, labels = data._columns_rows(columns)
-    if rows.width > model.input_dim:
-        raise DataFormatError(f"a point is wider than the model's dimension {model.input_dim}")
-    return rows, labels
+def _score_into(
+    columns: tuple[data._Column, data._Column], model: Model, text: Iterable[str]
+) -> None:
+    """Append the raw labels and the scores of the lines of ``text`` to ``columns``.
+
+    The lines are parsed and decided one parser block at a time, so no more
+    than a block of parsed rows is held beside the labels and scores.
+    """
+    labels, scores = columns
+    for block_labels, lengths, indices, values in data._parsed_blocks(text):
+        if indices.size and indices.max() >= model.input_dim:
+            raise DataFormatError(
+                f"a point is wider than the model's dimension {model.input_dim}"
+            )
+        labels.extend(block_labels)
+        scores.extend(decide_all(model, data._block_rows(lengths, indices, values)))
+
+
+def _score_columns(rows_hint: int) -> tuple[data._Column, data._Column]:
+    """Empty raw-label and score columns."""
+    return data._Column(np.float64, rows_hint), data._Column(np.float64, rows_hint)
 
 
 def _send_tail_scores(model: Model, path: str, survey: data._Survey, pipe: IO[bytes]) -> None:
-    """The child's half of :func:`score_file`: parse and decide the rows after
+    """The child's half of :func:`score_file`: parse and decide the lines after
     the split point, then send their count, raw labels and scores, and the
     kernel and cosine counts."""
     reset_eval_counts()
-    rows, labels = _checked_rows(model, data._parse_tail(path, survey))
-    scores = decide_all(model, rows)
+    columns = _score_columns(survey.newlines - survey.head_newlines + 1)
+    with data._tail_text(path, survey) as text:
+        _score_into(columns, model, text)
     counts = eval_counts()
-    pipe.write(np.array([len(rows)], dtype=np.int64))
-    pipe.write(labels)
-    pipe.write(scores)
+    labels, scores = columns
+    pipe.write(np.array([labels.size], dtype=np.int64))
+    pipe.write(labels.view())
+    pipe.write(scores.view())
     pipe.write(np.array([counts["kernel"], counts["cosine"]], dtype=np.int64))
 
 
@@ -219,17 +236,17 @@ def _score_halves(model: Model, path: str, task: str) -> tuple[np.ndarray, np.nd
                 return None
             raw.seek(0)
             with halves.child(functools.partial(_send_tail_scores, model, path, survey)) as pipe:
-                columns = data._columns(survey.head_newlines + 1, survey.head_colons)
-                data._parse_head(raw, survey, columns)
-                rows, head_labels = _checked_rows(model, columns)
-                head_scores = decide_all(model, rows)
+                # sized for the whole file: the child's labels and scores are
+                # read straight into the tails of the columns
+                columns = _score_columns(survey.newlines + 1)
+                _score_into(columns, model, data._head_text(raw, survey))
                 count = np.empty(1, dtype=np.int64)
                 halves.read_exact(pipe, count)
-                tail = np.empty((2, int(count[0])))  # labels, then scores
-                halves.read_exact(pipe, tail)
+                for column in columns:
+                    halves.read_exact(pipe, column.grow(int(count[0])))
                 counts = np.empty(2, dtype=np.int64)
                 halves.read_exact(pipe, counts)
-        labels = np.concatenate((head_labels, tail[0]))
+        labels, scores = (column.view() for column in columns)
         if task == "classification" and labels.size:
             # over the whole file: one half alone may not show a 0/1 file's convention
             labels = data._map_class_labels(labels)
@@ -239,7 +256,7 @@ def _score_halves(model: Model, path: str, task: str) -> tuple[np.ndarray, np.nd
         add_eval_counts(before["kernel"], before["cosine"])
         return None
     add_eval_counts(*counts.tolist())
-    return labels, np.concatenate((head_scores, tail[1]))
+    return labels, scores
 
 
 def score_file(model: Model, path: str, task: str) -> tuple[np.ndarray, np.ndarray]:
@@ -250,10 +267,11 @@ def score_file(model: Model, path: str, task: str) -> tuple[np.ndarray, np.ndarr
     need at least ``MIN_SPLIT_EVALS`` kernel values or cosines, is split
     once (see :mod:`assetsvm.halves`): a forked child parses and decides
     the points after the middle of the file while this process parses and
-    decides those before it, and the child's evaluations are added to this
-    process's counters. Otherwise, and after a failure on either side, the
-    whole file is loaded and decided here, so the labels and scores, or the
-    error, are the same either way.
+    decides those before it, each one parser block at a time, so neither
+    keeps more of its half than the labels and scores. The child's
+    evaluations are added to this process's counters. Otherwise, and after
+    a failure on either side, the whole file is loaded and decided here, so
+    the labels and scores, or the error, are the same either way.
     """
     split = _score_halves(model, path, task)
     if split is not None:
@@ -369,7 +387,8 @@ def _parse_floats(text: str, count: int, what: str) -> np.ndarray:
     if len(tokens) != count:
         raise ModelFormatError(f"{what} has {len(tokens)} values, expected {count}")
     try:
-        values = np.array([float(t) for t in tokens])
+        # numpy converts each token by float()'s rules
+        values = np.array(tokens, dtype=np.float64)
     except ValueError:
         raise ModelFormatError(f"non-numeric value in {what}") from None
     if not np.isfinite(values).all():

@@ -1,11 +1,20 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from assetsvm import ModelFormatError, eval_counts, load_model, reset_eval_counts
+from assetsvm import (
+    ModelFormatError,
+    decide,
+    eval_counts,
+    load_libsvm,
+    load_model,
+    reset_eval_counts,
+)
+from assetsvm import cli
 from assetsvm.cli import build_parser, main
 from helpers import matrix_dataset, sinusoid_dataset, split_files, two_moons, write_libsvm
 
@@ -402,6 +411,60 @@ class TestPredict:
         label, value = line.split()
         assert label in ("+1", "-1")
         float(value)
+
+    @pytest.mark.parametrize("task", ["class", "regress"])
+    def test_chunk_size_leaves_the_bytes_unchanged(self, task, tmp_path, capsys, monkeypatch):
+        # 50 points: chunks of 1 and 7 (the last one short) and one chunk
+        # for the whole file give the lines of one decision per point
+        if task == "class":
+            train = write_libsvm(tmp_path / "train.svm", two_moons(100, seed=3))
+            test = write_libsvm(tmp_path / "test.svm", two_moons(50, seed=4))
+            size = ["--s", "16", "--sigma", "2.0"]
+        else:
+            train = write_libsvm(tmp_path / "train.svm", sinusoid_dataset(100, seed=3))
+            test = write_libsvm(tmp_path / "test.svm", sinusoid_dataset(50, seed=4))
+            size = ["--d", "16", "--sigma", "20.0"]
+        approx = "nystrom" if task == "class" else "fourier"
+        model = str(tmp_path / "model.txt")
+        assert main(["train", "--task", task, "--approx", approx, *size, "--iters", "500",
+                     "--data", train, "--model", model]) == 0
+        loaded = load_model(model)
+        scores = [decide(loaded, x) for x in load_libsvm(test, "regression").examples]
+        if task == "class":
+            expected = "".join(f"{'+1' if v >= 0.0 else '-1'} {v!r}\n" for v in scores)
+        else:
+            expected = "".join(f"{v!r}\n" for v in scores)
+        out = tmp_path / "preds.txt"
+        for chunk in (1, 7, cli.PREDICT_CHUNK):
+            monkeypatch.setattr(cli, "PREDICT_CHUNK", chunk)
+            assert main(["predict", "--model", model, "--data", test, "--out", str(out)]) == 0
+            assert out.read_text() == expected
+            assert main(["predict", "--model", model, "--data", test]) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_peak_memory_grows_by_the_scores_alone(self, tmp_path):
+        # with the scoring split on, this process keeps each point's raw
+        # label and score (16 bytes) and holds a parser block and a chunk of
+        # output lines at a time, so a file four times as long raises the
+        # peak of traced allocations by little more than 16 bytes a point
+        train = write_libsvm(tmp_path / "train.svm", two_moons(100, seed=3))
+        model = str(tmp_path / "model.txt")
+        assert main(["train", "--task", "class", "--approx", "nystrom", "--s", "8",
+                     "--sigma", "2.0", "--iters", "300", "--data", train, "--model", model]) == 0
+        peaks = {}
+        for m in (2000, 8000):
+            test = write_libsvm(tmp_path / f"test{m}.svm", two_moons(m, seed=4))
+            command = ["predict", "--model", model, "--data", test,
+                       "--out", str(tmp_path / "preds.txt")]
+            with split_files(True) as outcomes:
+                tracemalloc.start()
+                try:
+                    assert main(command) == 0
+                    peaks[m] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert outcomes == [None]
+        assert (peaks[8000] - peaks[2000]) / 6000 < 32
 
 
 class TestEval:

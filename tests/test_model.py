@@ -311,6 +311,33 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError):
             load_model(io.StringIO(text))
 
+    @pytest.mark.parametrize("row", ["gamma", "freq"])
+    @pytest.mark.parametrize("token, value, message", [
+        ("1_0", 10.0, None),
+        ("١", 1.0, None),  # ARABIC-INDIC DIGIT ONE
+        ("infinity", None, "non-finite value in {}"),
+        ("1e400", None, "non-finite value in {}"),
+        ("0x10", None, "non-numeric value in {}"),
+        ("ⅷ", None, "non-numeric value in {}"),  # SMALL ROMAN NUMERAL EIGHT
+    ])
+    def test_float_tokens_follow_python_float(self, row, token, value, message):
+        # a stored float is read by float()'s rules: what float() accepts
+        # loads as its value, and what it rejects or makes infinite fails
+        model = fourier_model(n=3, dim=4)
+        prefix = "gamma " if row == "gamma" else "freq "
+        lines = model_to_text(model).splitlines(keepends=True)
+        at = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+        lines[at] = prefix + " ".join([token, *lines[at].split()[2:]]) + "\n"
+        text = "".join(lines)
+        if message is not None:
+            what = "gamma" if row == "gamma" else "freq row 1"
+            with pytest.raises(ModelFormatError, match=f"^{message.format(what)}$"):
+                load_model(io.StringIO(text))
+            return
+        loaded = load_model(io.StringIO(text))
+        stored = loaded.gamma[0] if row == "gamma" else loaded.payload.frequencies[0, 0]
+        assert stored == value
+
     def test_frequency_matrix_allocation_failure_rejected(self, monkeypatch):
         text = model_to_text(fourier_model(dim=4))
 

@@ -274,3 +274,47 @@ def test_outputs_are_identical_across_interpreters_threads_and_splits(tmp_path):
         assert first["eval.txt"].count(b"\n") == 2
         for files in outputs[1:]:
             assert files == first
+
+
+@pytest.mark.parametrize("approx, size", APPROXES, ids=["nystrom", "fourier"])
+@pytest.mark.parametrize("layout", ["plain", "comment-in-parent", "comment-in-child", "crlf"])
+def test_small_parser_blocks_score_as_the_default(approx, size, layout, tmp_path, capsys,
+                                                  monkeypatch):
+    # each half is parsed and decided a block of about BLOCK_CHARS at a time;
+    # with blocks of one or two lines, the split delivers the bytes and counts
+    # of an unsplit run with the default blocks, and a comment sends the rest
+    # of its half, in whichever process, through the line path
+    model = train_model(approx, size, tmp_path)
+    m = 41
+    lines = write_libsvm(tmp_path / "points.svm", two_moons(m, seed=4))
+    lines = Path(lines).read_text().splitlines(keepends=True)
+    if layout == "comment-in-parent":
+        lines.insert(2, "# a note in the first half\n")
+    elif layout == "comment-in-child":
+        lines.insert(m - 2, "# a note in the second half\n")
+    data = tmp_path / "points.svm"
+    newline = "\r\n" if layout == "crlf" else "\n"
+    data.write_bytes("".join(lines).replace("\n", newline).encode())
+    head = head_rows(data)
+    assert 2 < head < m - 2
+    commands = (
+        ["predict", "--model", model, "--data", str(data)],
+        ["eval", "--model", model, "--data", str(data)],
+    )
+    expected = []
+    for command in commands:
+        reset_eval_counts()
+        assert main(command) == 0
+        expected.append((capsys.readouterr(), eval_counts()))
+    assert expected[0][0].out.count("\n") == m
+    monkeypatch.setattr(data_module, "BLOCK_CHARS", 40)
+    line_path = mock.patch.object(data_module, "_parse_lines", wraps=data_module._parse_lines)
+    for command, (output, counts) in zip(commands, expected):
+        with split_files(True) as outcomes, line_path as parsed_by_lines:
+            reset_eval_counts()
+            assert main(command) == 0
+            assert eval_counts() == counts
+        assert capsys.readouterr() == output
+        assert outcomes == model_splits(approx) + [None]
+        # this process parses the first half; the child's calls stay in the child
+        assert parsed_by_lines.called == (layout == "comment-in-parent")
