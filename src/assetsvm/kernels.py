@@ -238,9 +238,11 @@ class NystromMap(_TrainingRows):
         return len(self.landmarks)
 
     def map_rows(self, rows: SparseRows) -> np.ndarray:
-        # einsum, like Landmarks.rows, so that a row maps to the same bits
-        # in a block of any height, map_point's one-row block included
-        return np.einsum("ij,jk->ik", self.landmarks.rows(rows), self._projector)
+        # a stack of one-row products, one BLAS call per row: a row maps to
+        # the same bits in a block of any height, map_point's one-row block
+        # included. A plain block product rounds by the block's height.
+        values = self.landmarks.rows(rows)
+        return np.matmul(values[:, np.newaxis, :], self._projector)[:, 0, :]
 
     def map_point(self, x: SparseVector) -> np.ndarray:
         return self.map_rows(SparseRows.of((x,)))[0]

@@ -356,13 +356,18 @@ class TestEvalCounters:
 
 class TestRowBlocks:
     def test_nystrom_rows_do_not_depend_on_block_height(self):
-        ds = planted_dataset(37, 3, seed=30)
-        nmap = build_nystrom(ds, GaussianKernel(0.9), 9, 7, seed=2)
+        # s = 80, and heights at which a plain block product rounds by height
+        ds = planted_dataset(260, 3, seed=30)
+        nmap = build_nystrom(ds, GaussianKernel(0.9), 80, 80, seed=2)
+        assert nmap.dim > 64
         whole = nmap.map_rows(ds.examples)
-        for height in (1, 2, 5, 36):
+        tall = kernels.ROW_BLOCK_VALUES // len(nmap.landmarks) + 1
+        assert tall < ds.m
+        for height in (1, 2, 3, 7, 64, tall):
             blocks = [nmap.map_rows(ds.examples[i : i + height]) for i in range(0, ds.m, height)]
             np.testing.assert_array_equal(np.vstack(blocks), whole)
         np.testing.assert_array_equal(nmap.training_matrix(ds), whole)
+        assert nmap.map_rows(ds.examples[:0]).shape == (0, nmap.dim)
 
     def test_uneven_sparse_rows_do_not_depend_on_block_height(self):
         # rows of 0 to 6 nonzeros over 40 columns; the landmarks are the

@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 
 from assetsvm import data as data_module
-from assetsvm import eval_counts, halves, reset_eval_counts
+from assetsvm import eval_counts, halves, kernels, reset_eval_counts
 from assetsvm import model as model_module
 from assetsvm.cli import main
 from helpers import split_files, two_moons, write_libsvm
@@ -216,21 +216,29 @@ def test_a_bad_line_in_the_childs_half_fails_as_unsplit(last, message, tmp_path,
 
 
 # Trains, predicts and evaluates each case with every split off, then on,
-# and writes each output file under argv[1]/<case>-<split>/.
-RUN_CASES = """
+# and writes each output file under argv[1]/<case>-<split>/. The
+# "nystrom-blocks" case trains on the wide file: 600 rows over 80 landmarks
+# map in several blocks of kernels.ROW_BLOCK_VALUES // 80 rows.
+CASES = (
+    ("nystrom", "nystrom", ["--s", "9"], "train"),
+    ("fourier", "fourier", ["--d", "13"], "train"),
+    ("nystrom-blocks", "nystrom", ["--s", "80"], "wide"),
+)
+RUN_CASES = f"CASES = {CASES!r}\n" + """
 import contextlib, io, os, sys
 from assetsvm.cli import main
 from helpers import split_files
 
-root, train, test = sys.argv[1:]
-for approx, size in (("nystrom", ["--s", "9"]), ("fourier", ["--d", "13"])):
+root, train, wide, test = sys.argv[1:]
+for case, approx, size, data in CASES:
+    data = wide if data == "wide" else train
     for split in (False, True):
-        out = os.path.join(root, f"{approx}-{split}")
+        out = os.path.join(root, f"{case}-{split}")
         os.mkdir(out)
         model, preds = os.path.join(out, "model.txt"), os.path.join(out, "preds.txt")
         with split_files(split), contextlib.redirect_stdout(io.StringIO()) as text:
             assert main(["train", "--task", "class", "--approx", approx, *size,
-                         "--sigma", "2.0", "--iters", "300", "--seed", "4", "--data", train,
+                         "--sigma", "2.0", "--iters", "300", "--seed", "4", "--data", data,
                          "--model", model, "--eval-data", test,
                          "--metrics", os.path.join(out, "metrics.csv")]) == 0
             assert main(["predict", "--model", model, "--data", test, "--out", preds]) == 0
@@ -243,7 +251,9 @@ for approx, size in (("nystrom", ["--s", "9"]), ("fourier", ["--d", "13"])):
 
 def test_outputs_are_identical_across_interpreters_threads_and_splits(tmp_path):
     train = write_libsvm(tmp_path / "train.svm", two_moons(60, seed=5))
+    wide = write_libsvm(tmp_path / "wide.svm", two_moons(600, seed=7))
     test = write_libsvm(tmp_path / "test.svm", two_moons(30, seed=6))
+    assert 600 > 2 * (kernels.ROW_BLOCK_VALUES // 80)
     runs = []
     for threads, hash_seed in (("1", "1"), ("2", "2")):
         root = tmp_path / f"threads-{threads}"
@@ -252,7 +262,7 @@ def test_outputs_are_identical_across_interpreters_threads_and_splits(tmp_path):
                    PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
         runs.append((root, subprocess.Popen(
-            [sys.executable, "-c", RUN_CASES, str(root), train, test],
+            [sys.executable, "-c", RUN_CASES, str(root), train, wide, test],
             env=env, stderr=subprocess.PIPE, text=True,
         )))
     try:
@@ -263,9 +273,9 @@ def test_outputs_are_identical_across_interpreters_threads_and_splits(tmp_path):
         for _, process in runs:
             process.kill()
             process.wait()
-    for approx, _ in APPROXES:
+    for case, *_ in CASES:
         outputs = [
-            {f.name: f.read_bytes() for f in (root / f"{approx}-{split}").iterdir()}
+            {f.name: f.read_bytes() for f in (root / f"{case}-{split}").iterdir()}
             for root, _ in runs
             for split in (False, True)
         ]
