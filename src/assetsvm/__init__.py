@@ -35,6 +35,7 @@ from .model import (
     NystromRecovery,
     decide,
     decide_all,
+    decide_block,
     load_model,
     predict_label,
     recover_alpha,

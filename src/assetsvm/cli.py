@@ -26,7 +26,16 @@ from .kernels import (
     build_nystrom,
 )
 from .linalg import ConvergenceError
-from .model import Model, ModelFormatError, load_model, recover_alpha, save_model, score_file
+from .model import (
+    Model,
+    ModelFormatError,
+    decide_all,
+    decide_block,
+    load_model,
+    recover_alpha,
+    save_model,
+    score_file,
+)
 # not called here; bench/spans.py traces calls through cli.decide and cli.predict_label
 from .model import decide, predict_label  # noqa: F401
 from .oracle import feature_objective
@@ -300,7 +309,8 @@ def cmd_train(config: argparse.Namespace) -> int:
 
 def cmd_predict(config: argparse.Namespace) -> int:
     model = load_model(config.model)
-    _, scores = score_file(model, config.data, "regression")
+    # one decide call per point: the benchmark traces each of them
+    _, scores = score_file(model, config.data, "regression", decide_all)
     classify = model.task == "classification"
     if config.out is None:
         sink = contextlib.nullcontext(sys.stdout)
@@ -356,7 +366,7 @@ def cmd_eval(config: argparse.Namespace) -> int:
     if config.model is not None:
         model = load_model(config.model)
         task = model.task
-        labels, scores = score_file(model, config.data, task)
+        labels, scores = score_file(model, config.data, task, decide_block)
         if labels.size < 1:
             raise DataFormatError("evaluation file contains no examples")
     else:

@@ -1,8 +1,8 @@
 """Two processes for one job: a forked child does half of the work.
 
 Parsing and formatting long runs of floats is bound by CPython's float
-parser and formatter, one value at a time, and scoring decides one point
-at a time. ``data.load_libsvm``, ``model.load_model`` and
+parser and formatter, one value at a time, and ``predict`` decides one
+point at a time. ``data.load_libsvm``, ``model.load_model`` and
 ``model.save_model`` split a large file in two, and ``model.score_file``
 splits a large file or one of many points, parsing and deciding each half
 in one process: this process does one half and a child, forked for that
@@ -19,7 +19,7 @@ a fork from a process whose BLAS may keep worker threads. A test
 a cosine model in fresh interpreters at one and at two OpenBLAS threads,
 under different ``PYTHONHASHSEED`` values, with every split forced on and
 off, and finds the model, prediction, metrics and ``eval`` bytes
-identical.
+identical, and ``eval``'s block scores equal to ``predict``'s.
 """
 
 from __future__ import annotations

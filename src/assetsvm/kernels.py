@@ -182,6 +182,18 @@ class Landmarks:
             table = table.take(idx, axis=0)
         return _gaussian(values.dot(table), self.neg_norms, norm)
 
+    def dense_rows(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`row` of each row of ``x``, a (height x width) block, with its bits.
+
+        The norms and the cross products are stacks of one-row products:
+        one BLAS call per row, the call :meth:`row` makes for a point that
+        holds every feature of the table.
+        """
+        stack = x[:, np.newaxis, :]
+        norms = np.matmul(stack, x[:, :, np.newaxis])[:, 0]
+        norms *= -self.kernel.sigma
+        return _gaussian(np.matmul(stack, self.table)[:, 0, :], self.neg_norms, norms)
+
 
 class _TrainingRows:
     """One dataset's rows, mapped once in blocks by ``map_rows``, then reused.
@@ -299,6 +311,20 @@ class FourierMap(_TrainingRows):
             phase += self.offsets
         else:
             phase = self.offsets.copy()
+        _counts["cosine"] += phase.size
+        np.cos(phase, out=phase)
+        phase *= self._scale
+        return phase
+
+    def map_dense(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`map_point` of each row of ``x``, a (height x n) block, with its bits.
+
+        The phases are a stack of one-row products: one BLAS call per row,
+        the call :meth:`map_point` makes for a point that holds every
+        input feature. The cosines are taken in place, as there.
+        """
+        phase = np.matmul(x[:, np.newaxis, :], self._rows)[:, 0, :]
+        phase += self.offsets
         _counts["cosine"] += phase.size
         np.cos(phase, out=phase)
         phase *= self._scale

@@ -27,6 +27,7 @@ import numpy as np
 from . import data, halves
 from .data import DataFormatError, SparseRows, SparseVector, format_row, not_utf8, parse_row
 from .kernels import (
+    ROW_BLOCK_VALUES,
     FourierMap,
     GaussianKernel,
     Landmarks,
@@ -45,13 +46,21 @@ APPROX_NAMES = ("nystrom", "fourier")
 FLOAT_TEXT_BYTES = 20
 # A libsvm file is scored in two processes (score_file) once it holds
 # halves.MIN_BYTES or its points' kernel values or cosines, points times s
-# or d, reach this many. A decision costs 5-10 µs, and the split's fixed
-# cost (fork, the child's start and exit) is several milliseconds. In
-# alternating timed runs on a 2-core x86 host (one BLAS thread), when the
-# split scored parsed rows, it broke even between 64 000 and 80 000 with
-# dense rows (s = 80, d = 64) and near 100 000 with sparse 1000-feature
-# rows (d = 128); from 128 000 on it won everywhere.
+# or d, reach MIN_SPLIT_EVALS, or MIN_BLOCK_SPLIT_EVALS when decide_block
+# scores it. The split's fixed cost (fork, the child's start and exit) is
+# several milliseconds. In alternating timed runs on a 2-core x86 host
+# (one BLAS thread), split against unsplit:
+# * decide_all, 5-10 µs a decision: the split broke even between 64 000
+#   and 80 000 evaluations with dense rows (s = 80, d = 64) and near
+#   100 000 with sparse 1000-feature rows (d = 128); from 128 000 on it
+#   won everywhere.
+# * decide_block on dense rows, 0.3-0.7 µs a point at s = 80 or d = 64:
+#   below halves.MIN_BYTES, 20 pairs a size, the split won 0-9 of 20 up
+#   to 2 560 000 evaluations (moons, s = 80 to 1280, 89-359 KiB; sine's
+#   160 KiB file, d = 64, 0 of 20: 22.9 against 18.5 ms), 9-13 of 20 at
+#   5 120 000 and 19 of 20 at 10 240 000 (s = 2560, 179 KiB).
 MIN_SPLIT_EVALS = 100_000
+MIN_BLOCK_SPLIT_EVALS = 5_000_000
 
 
 class ModelFormatError(ValueError):
@@ -87,9 +96,12 @@ class Model:
     input_dim: int
     payload: FourierMap | NystromRecovery
     # a decision's two operands, looked up once: the map from a point to
-    # its cosines or kernel values, and the weights dotted with them
+    # its cosines or kernel values, and the weights dotted with them; and
+    # the same map over a dense block, whose rows hold features 0 .. _width - 1
     _features: Callable[[SparseVector], np.ndarray] = field(init=False, repr=False)
     _weights: np.ndarray = field(init=False, repr=False)
+    _dense: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    _width: int = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=np.float64))
@@ -113,6 +125,7 @@ class Model:
                 )
             payload_sigma = self.payload.kernel.sigma
             features, weights = self.payload.map_point, self.gamma
+            dense = self.payload.map_dense
         else:
             if not isinstance(self.payload, NystromRecovery):
                 raise ValueError("nystrom models require a NystromRecovery payload")
@@ -123,6 +136,7 @@ class Model:
                 )
             payload_sigma = self.payload.landmarks.kernel.sigma
             features, weights = self.payload.landmarks.row, self.payload.alpha
+            dense = self.payload.landmarks.dense_rows
         if self.sigma != payload_sigma:
             # the file stores Model.sigma, and loading rebuilds the kernel from it
             raise ValueError(
@@ -130,6 +144,8 @@ class Model:
             )
         object.__setattr__(self, "_features", features)
         object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_width", width)
 
 
 def recover_alpha(nmap: NystromMap, gamma: np.ndarray) -> NystromRecovery:
@@ -174,7 +190,11 @@ def _evals_per_point(model: Model) -> int:
 
 
 def decide_all(model: Model, rows: SparseRows) -> np.ndarray:
-    """Raw decision value of every row, one :func:`decide` call per row."""
+    """Raw decision value of every row, one :func:`decide` call per row.
+
+    ``predict`` scores through this loop: the benchmark's tracer reads one
+    ``model.decide`` span per point.
+    """
     scores = np.empty(len(rows))
     for i, x in enumerate(rows):
         # through the module attribute, which the benchmark's tracer wraps
@@ -182,13 +202,57 @@ def decide_all(model: Model, rows: SparseRows) -> np.ndarray:
     return scores
 
 
+def decide_block(model: Model, rows: SparseRows) -> np.ndarray:
+    """Raw decision value of every row, with the bits of :func:`decide`.
+
+    When each row holds exactly the features of the model's landmark table
+    or frequency matrix, the block is scored about ROW_BLOCK_VALUES kernel
+    values or cosines at a time, as stacks of one-row products: each row
+    makes the BLAS calls that :func:`decide` makes for it, so its score
+    does not depend on the block. Any other block, and one whose products
+    overflow or give a NaN, goes through :func:`decide_all`, so such a
+    point fails, or warns, as it does alone.
+    """
+    width = model._width
+    if not (
+        width
+        and len(rows)
+        and (np.diff(rows.indptr) == width).all()
+        and rows.indices.max() < width
+    ):
+        return decide_all(model, rows)
+    # strictly increasing indices, width of them and all below the width,
+    # are exactly 0 .. width - 1 in every row
+    x = rows.values.reshape(len(rows), width)
+    weights = model._weights[:, np.newaxis]
+    scores = np.empty(len(rows))
+    step = max(1, ROW_BLOCK_VALUES // weights.size)
+    before = eval_counts()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for start in range(0, len(rows), step):
+                features = model._dense(x[start : start + step])[:, np.newaxis, :]
+                scores[start : start + step] = np.matmul(features, weights)[:, 0, 0]
+            scores += model.b
+    except FloatingPointError:
+        # decide_all counts every evaluation again
+        reset_eval_counts()
+        add_eval_counts(before["kernel"], before["cosine"])
+        return decide_all(model, rows)
+    return scores
+
+
+Scorer = Callable[[Model, SparseRows], np.ndarray]
+
+
 def _score_into(
-    columns: tuple[data._Column, data._Column], model: Model, text: Iterable[str]
+    columns: tuple[data._Column, data._Column], model: Model, score: Scorer, text: Iterable[str]
 ) -> None:
     """Append the raw labels and the scores of the lines of ``text`` to ``columns``.
 
-    The lines are parsed and decided one parser block at a time, so no more
-    than a block of parsed rows is held beside the labels and scores.
+    The lines are parsed and scored by ``score`` one parser block at a
+    time, so no more than a block of parsed rows is held beside the labels
+    and scores.
     """
     labels, scores = columns
     for block_labels, lengths, indices, values in data._parsed_blocks(text):
@@ -197,7 +261,7 @@ def _score_into(
                 f"a point is wider than the model's dimension {model.input_dim}"
             )
         labels.extend(block_labels)
-        scores.extend(decide_all(model, data._block_rows(lengths, indices, values)))
+        scores.extend(score(model, data._block_rows(lengths, indices, values)))
 
 
 def _score_columns(rows_hint: int) -> tuple[data._Column, data._Column]:
@@ -205,14 +269,16 @@ def _score_columns(rows_hint: int) -> tuple[data._Column, data._Column]:
     return data._Column(np.float64, rows_hint), data._Column(np.float64, rows_hint)
 
 
-def _send_tail_scores(model: Model, path: str, survey: data._Survey, pipe: IO[bytes]) -> None:
-    """The child's half of :func:`score_file`: parse and decide the lines after
+def _send_tail_scores(
+    model: Model, score: Scorer, path: str, survey: data._Survey, pipe: IO[bytes]
+) -> None:
+    """The child's half of :func:`score_file`: parse and score the lines after
     the split point, then send their count, raw labels and scores, and the
     kernel and cosine counts."""
     reset_eval_counts()
     columns = _score_columns(survey.newlines - survey.head_newlines + 1)
     with data._tail_text(path, survey) as text:
-        _score_into(columns, model, text)
+        _score_into(columns, model, score, text)
     counts = eval_counts()
     labels, scores = columns
     pipe.write(np.array([labels.size], dtype=np.int64))
@@ -221,7 +287,9 @@ def _send_tail_scores(model: Model, path: str, survey: data._Survey, pipe: IO[by
     pipe.write(np.array([counts["kernel"], counts["cosine"]], dtype=np.int64))
 
 
-def _score_halves(model: Model, path: str, task: str) -> tuple[np.ndarray, np.ndarray] | None:
+def _score_halves(
+    model: Model, path: str, task: str, score: Scorer
+) -> tuple[np.ndarray, np.ndarray] | None:
     """:func:`score_file` split in two processes, or None when it is not split or fails."""
     if not halves.available():
         return None
@@ -232,14 +300,16 @@ def _score_halves(model: Model, path: str, task: str) -> tuple[np.ndarray, np.nd
                 return None
             survey = data._survey(raw)
             evals = survey.newlines * _evals_per_point(model)
-            if survey.split is None or (survey.size < halves.MIN_BYTES and evals < MIN_SPLIT_EVALS):
+            min_evals = MIN_BLOCK_SPLIT_EVALS if score is decide_block else MIN_SPLIT_EVALS
+            if survey.split is None or (survey.size < halves.MIN_BYTES and evals < min_evals):
                 return None
             raw.seek(0)
-            with halves.child(functools.partial(_send_tail_scores, model, path, survey)) as pipe:
+            tail = functools.partial(_send_tail_scores, model, score, path, survey)
+            with halves.child(tail) as pipe:
                 # sized for the whole file: the child's labels and scores are
                 # read straight into the tails of the columns
                 columns = _score_columns(survey.newlines + 1)
-                _score_into(columns, model, data._head_text(raw, survey))
+                _score_into(columns, model, score, data._head_text(raw, survey))
                 count = np.empty(1, dtype=np.int64)
                 halves.read_exact(pipe, count)
                 for column in columns:
@@ -259,25 +329,29 @@ def _score_halves(model: Model, path: str, task: str) -> tuple[np.ndarray, np.nd
     return labels, scores
 
 
-def score_file(model: Model, path: str, task: str) -> tuple[np.ndarray, np.ndarray]:
+def score_file(model: Model, path: str, task: str, score: Scorer) -> tuple[np.ndarray, np.ndarray]:
     """The label and the raw decision value of every point of a libsvm file.
 
     The labels are mapped as :func:`~assetsvm.data.load_libsvm` maps them
-    for ``task``. A file of at least ``halves.MIN_BYTES``, or whose points
-    need at least ``MIN_SPLIT_EVALS`` kernel values or cosines, is split
-    once (see :mod:`assetsvm.halves`): a forked child parses and decides
-    the points after the middle of the file while this process parses and
-    decides those before it, each one parser block at a time, so neither
-    keeps more of its half than the labels and scores. The child's
-    evaluations are added to this process's counters. Otherwise, and after
-    a failure on either side, the whole file is loaded and decided here, so
-    the labels and scores, or the error, are the same either way.
+    for ``task``. The scores come from ``score`` (:func:`decide_all` or
+    :func:`decide_block`), called on each parser block, or on the whole
+    file when it is not split; both give every point the bits of
+    :func:`decide`. A file of at least ``halves.MIN_BYTES``, or whose
+    points need at least ``MIN_SPLIT_EVALS`` kernel values or cosines
+    (``MIN_BLOCK_SPLIT_EVALS`` for :func:`decide_block`), is split once (see
+    :mod:`assetsvm.halves`): a forked child parses and scores the points
+    after the middle of the file while this process parses and scores
+    those before it, each one parser block at a time, so neither keeps
+    more of its half than the labels and scores. The child's evaluations
+    are added to this process's counters. Otherwise, and after a failure
+    on either side, the whole file is loaded and scored here, so the
+    labels and scores, or the error, are the same either way.
     """
-    split = _score_halves(model, path, task)
+    split = _score_halves(model, path, task, score)
     if split is not None:
         return split
     points = data.load_libsvm(path, task, n_override=model.input_dim, split=False)
-    return points.labels, decide_all(model, points.examples)
+    return points.labels, score(model, points.examples)
 
 
 def _fmt(value: float) -> str:

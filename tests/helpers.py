@@ -144,5 +144,6 @@ def split_files(on: bool):
     threshold = 0 if on else 1 << 62
     with mock.patch.object(halves, "MIN_BYTES", threshold), \
             mock.patch.object(model_module, "MIN_SPLIT_EVALS", threshold), \
+            mock.patch.object(model_module, "MIN_BLOCK_SPLIT_EVALS", threshold), \
             mock.patch.object(halves, "child", recorded):
         yield outcomes

@@ -4,8 +4,10 @@
 with span wrappers, and ``bench/layers.py`` runs the solver on a stand-in
 feature map. A rename in ``src/`` would break that run without failing
 any other test, so these tests load both files and check the names, and
-that ``predict`` and ``eval`` still make the one ``model.decide`` call
-per point the traced run reads.
+what the traced run reads of scoring: ``predict`` still makes one
+``model.decide`` call per point, and ``eval --model``, which scores dense
+blocks without one, still counts every point's kernel values or cosines
+in its ``cli.eval`` span.
 """
 
 from __future__ import annotations
@@ -65,12 +67,17 @@ def test_each_point_is_one_traced_decision(bench_modules, approx, size, tmp_path
     args = ["train", "--task", "class", "--approx", approx, *size, "--iters", "100",
             "--data", train, "--model", model]
     assert cli.main(args) == 0
-    for command in (
-        ["predict", "--model", model, "--data", test, "--out", str(tmp_path / "pred.txt")],
-        ["eval", "--model", model, "--data", test],
-    ):
-        with spans.installed(spans.Tracer()) as tracer:
-            assert cli.main(command) == 0
-        decides = [s for s in tracer.spans if s.name == "model.decide"]
-        assert len(decides) == 17
-        assert {s.evals for s in decides} == {int(size[1])}
+    with spans.installed(spans.Tracer()) as tracer:
+        assert cli.main(
+            ["predict", "--model", model, "--data", test, "--out", str(tmp_path / "pred.txt")]
+        ) == 0
+    decides = [s for s in tracer.spans if s.name == "model.decide"]
+    assert len(decides) == 17
+    assert {s.evals for s in decides} == {int(size[1])}
+    with spans.installed(spans.Tracer()) as tracer:
+        assert cli.main(["eval", "--model", model, "--data", test]) == 0
+    # eval scores its dense rows in blocks; the traced run reads only the
+    # evaluations of its command span
+    assert not [s for s in tracer.spans if s.name == "model.decide"]
+    (evaluate,) = [s for s in tracer.spans if s.name == "cli.eval"]
+    assert evaluate.evals == 17 * int(size[1])

@@ -16,12 +16,16 @@ from assetsvm import (
     Model,
     ModelFormatError,
     NystromRecovery,
+    SparseRows,
     SparseVector,
     build_fourier,
     build_nystrom,
     decide,
+    decide_all,
+    decide_block,
     eval_counts,
     halves,
+    kernels,
     load_model,
     predict_label,
     recover_alpha,
@@ -183,6 +187,107 @@ class TestDecide:
         for _ in range(5):
             x = dense_vector(rng.normal(size=5))
             assert decide(model, x) == gathered(x)
+
+
+class TestDecideBlock:
+    """decide_block against one decide call per point, bit for bit.
+
+    Dense blocks, whose rows hold every feature of the landmark table or
+    the frequency matrix, are scored as stacks of one-row products; every
+    other block goes through decide. A plain block product (``x @ table``,
+    ``cross @ alpha``, ``phase @ gamma``) rounds by the block's shape and
+    fails these tests.
+    """
+
+    @staticmethod
+    def landmark_model(n=12):
+        model, _ = nystrom_model(planted_dataset(60, n, seed=50), sample=40, sigma=0.05, seed=5)
+        assert model.payload.landmarks.width == n
+        return model
+
+    @staticmethod
+    def cosine_model(n=12):
+        return fourier_model(n=n, dim=48, sigma=0.05, seed=51)
+
+    @staticmethod
+    def assert_decides_alike(model, rows):
+        scores = decide_block(model, rows)
+        want = np.array([decide(model, x) for x in rows])
+        assert scores.shape == (len(rows),)
+        assert np.array_equal(scores.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
+    def test_dense_blocks_of_any_height_score_as_decide(self, approx):
+        model = self.landmark_model() if approx == "nystrom" else self.cosine_model()
+        per_point = model.gamma.size if approx == "fourier" else len(model.payload.landmarks)
+        past_cap = kernels.ROW_BLOCK_VALUES // per_point + 1
+        rng = np.random.default_rng(52)
+        rows = SparseRows.of(dense_vector(rng.normal(size=12)) for _ in range(past_cap + 5))
+        want = np.array([decide(model, x) for x in rows])
+        no_decide = mock.patch.object(model_module, "decide", side_effect=AssertionError("decide"))
+        for height in (1, 2, 3, 7, 64, past_cap):
+            for start in range(0, len(rows), height):
+                block = rows[start : start + height]
+                reset_eval_counts()
+                with no_decide:
+                    scores = decide_block(model, block)
+                assert sum(eval_counts().values()) == len(block) * per_point
+                assert np.array_equal(
+                    scores.view(np.int64), want[start : start + height].view(np.int64)
+                )
+
+    @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
+    def test_an_empty_block_gives_no_scores(self, approx):
+        model = self.landmark_model() if approx == "nystrom" else self.cosine_model()
+        scores = decide_block(model, SparseRows.of(()))
+        assert scores.shape == (0,)
+
+    @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
+    @pytest.mark.parametrize("layout", ["sparse", "mixed"])
+    def test_other_blocks_score_through_decide(self, approx, layout):
+        model = self.landmark_model() if approx == "nystrom" else self.cosine_model()
+        rng = np.random.default_rng(53)
+        points = [SparseVector(np.array([0, 4, 11]), rng.normal(size=3)) for _ in range(6)]
+        if layout == "mixed":
+            points = [dense_vector(rng.normal(size=12)) for _ in range(6)] + points[:1]
+        rows = SparseRows.of(points)
+        with mock.patch.object(model_module, "decide", wraps=decide) as decided:
+            self.assert_decides_alike(model, rows)
+        assert decided.call_count == len(rows)
+
+    def test_rows_wider_than_the_table_score_through_decide(self):
+        # the supports hold features 0-3 of 8: a row of all 8 is wider than
+        # the table and goes through decide, a row of 0-3 is dense
+        rng = np.random.default_rng(54)
+        rows = tuple(dense_vector(rng.normal(size=4)) for _ in range(30))
+        ds = Dataset(rows, np.where(rng.random(30) < 0.5, 1.0, -1.0), 8, "classification")
+        model, _ = nystrom_model(ds, sample=20, sigma=0.3, seed=6)
+        assert model.payload.landmarks.width == 4 and model.input_dim == 8
+        wide = SparseRows.of(dense_vector(rng.normal(size=8)) for _ in range(9))
+        with mock.patch.object(model_module, "decide", wraps=decide) as decided:
+            self.assert_decides_alike(model, wide)
+        assert decided.call_count == len(wide)
+        narrow = SparseRows.of(dense_vector(rng.normal(size=4)) for _ in range(9))
+        with mock.patch.object(model_module, "decide", wraps=decide) as decided:
+            self.assert_decides_alike(model, narrow)
+        assert not decided.called
+
+    def test_an_overflowing_block_fails_as_decide_does(self):
+        # the products' error is dropped: decide scores the block again and
+        # fails on the point with its own message, each evaluation counted once
+        model = self.cosine_model()
+        rng = np.random.default_rng(55)
+        points = [dense_vector(rng.normal(size=12)) for _ in range(5)]
+        points[3] = dense_vector(np.full(12, 1e308))
+        rows = SparseRows.of(points)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError) as alone:
+                decide_all(model, rows)
+            reset_eval_counts()
+            with pytest.raises(FloatingPointError) as block:
+                decide_block(model, rows)
+        assert str(block.value) == str(alone.value)
+        assert eval_counts()["cosine"] == 3 * model.gamma.size
 
 
 class TestDecideAgainstNumpy:

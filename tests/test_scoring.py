@@ -76,14 +76,17 @@ def spans():
                          [("nystrom", ["--s", "9"], "1e200"), ("fourier", ["--d", "13"], "1e308")],
                          ids=["nystrom", "fourier"])
 @pytest.mark.parametrize("position", ["parent", "child"])
-def test_a_failing_point_fails_alike_in_either_half(approx, size, value, position, tmp_path,
-                                                    capsys):
+@pytest.mark.parametrize("layout", ["sparse", "dense"])
+def test_a_failing_point_fails_alike_in_either_half(approx, size, value, position, layout,
+                                                    tmp_path, capsys):
     # a point whose squared norm or cosine phase overflows, first (in the
     # parent's half) or last (in the child's): the split falls back and
-    # the rerun fails on that point, as an unsplit scoring does
+    # the rerun fails on that point, as an unsplit scoring does. A dense
+    # point's block is scored by eval in blocks, and then by decide.
     model = train_model(approx, size, tmp_path)
     lines = [f"+1 1:{0.1 * k} 2:-0.5\n" for k in range(10)]
-    lines[0 if position == "parent" else -1] = f"+1 1:{value}\n"
+    bad = f"+1 1:{value} 2:0.5\n" if layout == "dense" else f"+1 1:{value}\n"
+    lines[0 if position == "parent" else -1] = bad
     data = tmp_path / "points.svm"
     data.write_text("".join(lines))
     out = tmp_path / "preds.txt"
@@ -128,15 +131,35 @@ def test_split_scoring_keeps_counts_and_spans(spans, approx, size, tmp_path):
                 assert main(command) == 0
         # one split of the points per command, and each child delivered its half
         assert outcomes == 2 * (model_splits(approx) + [None])
-        # the parent's half, the rows before the byte split point, is traced
-        # one span per point; the child's spans stay in the child, but its
-        # evaluations reach the command's span
         decides = [s for s in tracer.spans if s.name == "model.decide"]
-        assert 0 < head_rows(test) < m
-        assert len(decides) == head_rows(test)
-        assert {s.evals for s in decides} == {per_point}
+        if name == "cli.predict":
+            # the parent's half, the rows before the byte split point, is
+            # traced one span per point; the child's spans stay in the child
+            assert 0 < head_rows(test) < m
+            assert len(decides) == head_rows(test)
+            assert {s.evals for s in decides} == {per_point}
+        else:
+            # eval scores the dense rows of both halves in blocks
+            assert not decides
+        # the child's evaluations reach the command's span
         (command_span,) = [s for s in tracer.spans if s.name == name]
         assert command_span.evals == m * per_point
+
+
+@pytest.mark.parametrize("approx, size", APPROXES, ids=["nystrom", "fourier"])
+@pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+def test_block_scored_eval_counts_every_evaluation_once(approx, size, split, tmp_path):
+    # eval scores the dense rows of each half in blocks, without a decide call
+    model = train_model(approx, size, tmp_path)
+    m, per_point = 41, int(size[1])
+    test = write_libsvm(tmp_path / "test.svm", two_moons(m, seed=4))
+    kind = "kernel" if approx == "nystrom" else "cosine"
+    no_decide = mock.patch.object(model_module, "decide", side_effect=AssertionError("decide"))
+    with split_files(split) as outcomes, no_decide:
+        reset_eval_counts()
+        assert main(["eval", "--model", model, "--data", test]) == 0
+        assert eval_counts() == {"kernel": 0, "cosine": 0, kind: m * per_point}
+    assert outcomes == (model_splits(approx) + [None] if split else [])
 
 
 @pytest.mark.parametrize("approx, size", APPROXES, ids=["nystrom", "fourier"])
@@ -227,6 +250,7 @@ CASES = (
 RUN_CASES = f"CASES = {CASES!r}\n" + """
 import contextlib, io, os, sys
 from assetsvm.cli import main
+from assetsvm.model import decide_block, load_model, score_file
 from helpers import split_files
 
 root, train, wide, test = sys.argv[1:]
@@ -244,8 +268,12 @@ for case, approx, size, data in CASES:
             assert main(["predict", "--model", model, "--data", test, "--out", preds]) == 0
             assert main(["eval", "--model", model, "--data", test]) == 0
             assert main(["eval", "--pred", preds, "--data", test, "--task", "class"]) == 0
+            # the scores eval computes, in blocks, beside those predict wrote
+            _, scores = score_file(load_model(model), test, "classification", decide_block)
         with open(os.path.join(out, "eval.txt"), "w") as handle:
             handle.write(text.getvalue())
+        with open(os.path.join(out, "scores.txt"), "w") as handle:
+            handle.writelines(f"{value!r}\\n" for value in scores.tolist())
 """
 
 
@@ -280,8 +308,13 @@ def test_outputs_are_identical_across_interpreters_threads_and_splits(tmp_path):
             for split in (False, True)
         ]
         first = outputs[0]
-        assert sorted(first) == ["eval.txt", "metrics.csv", "model.txt", "preds.txt"]
+        assert sorted(first) == ["eval.txt", "metrics.csv", "model.txt", "preds.txt", "scores.txt"]
         assert first["eval.txt"].count(b"\n") == 2
+        for files in outputs:
+            # a point scored alone, by predict, and inside a block, by eval,
+            # gets the same bits
+            alone = [line.split()[1] for line in files["preds.txt"].splitlines()]
+            assert files["scores.txt"].splitlines() == alone
         for files in outputs[1:]:
             assert files == first
 
