@@ -9,7 +9,6 @@ immutable once built and safe to share across threads.
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import itertools
 import math
@@ -20,7 +19,6 @@ from typing import IO, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from . import halves
 from .rng import SPLIT_STREAM, stream
 
 TaskKind = Literal["classification", "regression"]
@@ -28,6 +26,9 @@ TaskKind = Literal["classification", "regression"]
 TASKS = ("classification", "regression")
 # The parser converts about this many characters of lines at a time: its
 # token lists stay a few thousand entries long whatever the file's size.
+# A block holds about 15 bytes of Python objects per character while it is
+# converted. A quarter of this size (8192) cut predict's peak RSS by only
+# 0.2-0.3 MiB on the benchmark workloads, and made load_libsvm 4-14% slower.
 BLOCK_CHARS = 1 << 15
 _COLON, _SPACE = ord(":"), ord(" ")
 
@@ -160,6 +161,20 @@ class SparseRows(Sequence[SparseVector]):
     def width(self) -> int:
         """Largest index present + 1, or 0 if no row has a feature."""
         return int(self.indices.max()) + 1 if self.indices.size else 0
+
+    def dense(self, width: int) -> np.ndarray | None:
+        """The rows as a (len x width) view of ``values`` when each row holds
+        exactly features 0 .. width - 1, else None."""
+        if not (
+            width
+            and len(self)
+            and (np.diff(self.indptr) == width).all()
+            and self.indices.max() < width
+        ):
+            return None
+        # strictly increasing indices, width of them and all below the width,
+        # are exactly 0 .. width - 1 in every row
+        return self.values.reshape(len(self), width)
 
     def take(self, order: Sequence[int] | np.ndarray) -> "SparseRows":
         """New rows holding the rows at ``order``, in that order."""
@@ -459,14 +474,6 @@ def _columns_dataset(
     return _dataset(_block_rows(lengths, indices, values), labels, task, n_override)
 
 
-def _parse(source: Iterable[str], task: TaskKind, n_override: int | None) -> Dataset:
-    if task not in TASKS:
-        raise DataFormatError(f"unknown task {task!r}")
-    columns = _columns(0, 0)
-    _parse_into(columns, source)
-    return _columns_dataset(columns, task, n_override)
-
-
 def parse_libsvm(
     source: Iterable[str] | IO[str],
     task: TaskKind,
@@ -484,7 +491,11 @@ def parse_libsvm(
     path (:func:`parse_libsvm_lines`) parses instead, so errors and their
     line numbers are the line path's own.
     """
-    return _parse(source, task, n_override)
+    if task not in TASKS:
+        raise DataFormatError(f"unknown task {task!r}")
+    columns = _columns(0, 0)
+    _parse_into(columns, source)
+    return _columns_dataset(columns, task, n_override)
 
 
 def parse_libsvm_lines(
@@ -525,7 +536,8 @@ class _Prefix(io.RawIOBase):
 
 
 class _Survey(NamedTuple):
-    """What a first pass over a file finds."""
+    """What a first pass over a file finds: the counts that size
+    :func:`load_libsvm`'s columns, and where ``model.score_file`` splits it."""
 
     newlines: int
     colons: int
@@ -534,26 +546,24 @@ class _Survey(NamedTuple):
     # None when no line starts in its second half
     split: int | None
     head_newlines: int
-    head_colons: int
 
 
 def _survey(raw: IO[bytes]) -> _Survey:
     middle = os.fstat(raw.fileno()).st_size // 2
     newlines = colons = size = 0
-    split = head_newlines = head_colons = None
+    split = head_newlines = None
     for chunk in iter(lambda: raw.read(1 << 16), b""):
         if split is None and size + len(chunk) > middle:
             at = chunk.find(b"\n", max(middle - size, 0)) + 1
             if at:
                 split = size + at
                 head_newlines = newlines + chunk.count(b"\n", 0, at)
-                head_colons = colons + chunk.count(b":", 0, at)
         newlines += chunk.count(b"\n")
         colons += chunk.count(b":")
         size += len(chunk)
     if split == size:
         split = None
-    return _Survey(newlines, colons, size, split, head_newlines, head_colons)
+    return _Survey(newlines, colons, size, split, head_newlines)
 
 
 def _head_text(raw: IO[bytes], survey: _Survey) -> io.TextIOWrapper:
@@ -565,79 +575,34 @@ def _head_text(raw: IO[bytes], survey: _Survey) -> io.TextIOWrapper:
 def _tail_text(path: str, survey: _Survey) -> Iterator[io.TextIOWrapper]:
     """The text of ``path`` from the survey's split point on.
 
-    A split's child reads this; it opens the file itself, because a
-    descriptor inherited across the fork shares its offset with the
-    parent's.
+    The child of ``model.score_file``'s split reads this; it opens the
+    file itself, because a descriptor inherited across the fork shares its
+    offset with the parent's.
     """
     with open(path, "rb") as raw:
         raw.seek(survey.split)
         yield _text(raw)
 
 
-def _send_tail(path: str, survey: _Survey, pipe: IO[bytes]) -> None:
-    """The child's half of a load: parse the file from the split point on and send the columns."""
-    columns = _columns(
-        survey.newlines - survey.head_newlines + 1, survey.colons - survey.head_colons
-    )
-    with _tail_text(path, survey) as text:
-        _parse_into(columns, text)
-    labels, _, indices, _ = columns
-    pipe.write(np.array([labels.size, indices.size], dtype=np.int64))
-    for column in columns:
-        pipe.write(column.view())
+def load_libsvm(path: str, task: TaskKind, n_override: int | None = None) -> Dataset:
+    """Parse a libsvm file (see :func:`parse_libsvm`), all of it in this process.
 
-
-def _parse_halves(path: str, raw: IO[bytes], survey: _Survey, columns: tuple[_Column, ...]) -> bool:
-    """Parse ``raw`` into ``columns``: here up to the split point, in a child after it.
-
-    The child's columns are read straight into the tail of ``columns``.
-    Returns False, with ``raw`` rewound and ``columns`` emptied, when the
-    file is not split or either half fails.
-    """
-    if survey.split is None or not halves.worth_splitting(survey.size):
-        return False
-    try:
-        with halves.child(functools.partial(_send_tail, path, survey)) as pipe:
-            _parse_into(columns, _head_text(raw, survey))
-            sizes = np.empty(2, dtype=np.int64)
-            halves.read_exact(pipe, sizes)
-            rows, nonzeros = sizes.tolist()
-            for column, count in zip(columns, (rows, rows, nonzeros, nonzeros)):
-                halves.read_exact(pipe, column.grow(count))
-    except Exception:
-        raw.seek(0)
-        for column in columns:
-            column.size = 0
-        return False
-    return True
-
-
-def load_libsvm(
-    path: str, task: TaskKind, n_override: int | None = None, *, split: bool = True
-) -> Dataset:
-    """Parse a libsvm file (see :func:`parse_libsvm`).
-
-    A file that is not UTF-8 text is a :class:`DataFormatError`. Unless
-    ``split`` is False, a large file is parsed in two halves, the second by
-    a forked child (see :mod:`assetsvm.halves`); a failure in either half
-    sends the whole file through the sequential path, so the dataset or the
-    error is the same either way.
+    A file that is not UTF-8 text is a :class:`DataFormatError`.
     """
     if task not in TASKS:
         raise DataFormatError(f"unknown task {task!r}")
     try:
         with open(path, "rb") as raw:
-            if not raw.seekable():
+            if raw.seekable():
+                # a first pass counts newlines and colons, so the arrays are sized once
+                survey = _survey(raw)
+                raw.seek(0)
+                columns = _columns(survey.newlines + 1, survey.colons)
+            else:
                 # a pipe is read only once, and its arrays grow as they fill
-                with _text(raw) as handle:
-                    return _parse(handle, task, n_override)
-            # a first pass counts newlines and colons, so the arrays are sized once
-            survey = _survey(raw)
-            raw.seek(0)
-            columns = _columns(survey.newlines + 1, survey.colons)
-            if not (split and _parse_halves(path, raw, survey, columns)):
-                with _text(raw) as handle:
-                    _parse_into(columns, handle)
+                columns = _columns(0, 0)
+            with _text(raw) as handle:
+                _parse_into(columns, handle)
             return _columns_dataset(columns, task, n_override)
     except UnicodeDecodeError as exc:
         raise DataFormatError(not_utf8("libsvm file", exc)) from None

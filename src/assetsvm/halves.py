@@ -2,14 +2,16 @@
 
 Parsing and formatting long runs of floats is bound by CPython's float
 parser and formatter, one value at a time, and ``predict`` decides one
-point at a time. ``data.load_libsvm``, ``model.load_model`` and
-``model.save_model`` split a large file in two, and ``model.score_file``
-splits a large file or one of many points, parsing and deciding each half
-in one process: this process does one half and a child, forked for that
-job alone, does the other with the same code and sends its result back
+point at a time. ``model.load_model`` and ``model.save_model`` split a
+large model file in two, and ``model.score_file`` splits a large libsvm
+file or one of many points, parsing and deciding each half in one
+process: this process does one half and a child, forked for that job
+alone, does the other with the same code and sends its result back
 through a pipe. The child is always reaped, and a failure on either side
 makes the caller redo the whole job on the sequential path, so outputs
-and errors are the same either way.
+and errors are the same either way. ``data.load_libsvm`` never splits: on
+the largest file the benchmark trains on (904 KB) its split saved nothing
+that ``train``'s end-to-end time showed.
 
 This module is the package's only caller of ``os.fork``. The program has
 no threads of its own, and the child runs only already-imported code. A
@@ -42,10 +44,10 @@ except ImportError:  # not Linux
 # that cost was about 7 ms: fork 1.4 ms, the child's start 1.3 ms, its exit
 # 1.3 ms, plus moving its result and waiting for the slower half. The
 # parsers read about 17 MB/s of libsvm text and 21 MB/s of model floats,
-# so in alternating timed runs the split first won at 256 KiB for libsvm
-# files (sparse and dense rows) and for saves, and between 320 and 480 KiB
-# for model loads; at 128 KiB it lost everywhere. Smaller files stay
-# sequential.
+# so in alternating timed runs the split first won at 256 KiB for parsing
+# libsvm files alone (sparse and dense rows) and for saves, and between 320
+# and 480 KiB for model loads; at 128 KiB it lost everywhere. Smaller model
+# and scored libsvm files stay sequential.
 MIN_BYTES = 384 * 1024
 # Largest buffer the parent copies a child's result through.
 BOUNCE_BYTES = 1 << 16

@@ -331,7 +331,15 @@ class FourierMap(_TrainingRows):
         return phase
 
     def map_rows(self, rows: SparseRows) -> np.ndarray:
-        # row by row: a gather of the block's frequency columns is no faster
+        dense = rows.dense(self.frequencies.shape[1])
+        if dense is not None:
+            cosines = _counts["cosine"]
+            try:
+                return self.map_dense(dense)
+            except FloatingPointError:
+                # row by row, so a row fails with map_point's own message
+                _counts["cosine"] = cosines
+        # any other block row by row: a gather of its frequency columns is no faster
         out = np.empty((len(rows), self.dim))
         for i, x in enumerate(rows):
             out[i] = self.map_point(x)

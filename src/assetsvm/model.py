@@ -213,17 +213,9 @@ def decide_block(model: Model, rows: SparseRows) -> np.ndarray:
     overflow or give a NaN, goes through :func:`decide_all`, so such a
     point fails, or warns, as it does alone.
     """
-    width = model._width
-    if not (
-        width
-        and len(rows)
-        and (np.diff(rows.indptr) == width).all()
-        and rows.indices.max() < width
-    ):
+    x = rows.dense(model._width)
+    if x is None:
         return decide_all(model, rows)
-    # strictly increasing indices, width of them and all below the width,
-    # are exactly 0 .. width - 1 in every row
-    x = rows.values.reshape(len(rows), width)
     weights = model._weights[:, np.newaxis]
     scores = np.empty(len(rows))
     step = max(1, ROW_BLOCK_VALUES // weights.size)
@@ -344,13 +336,14 @@ def score_file(model: Model, path: str, task: str, score: Scorer) -> tuple[np.nd
     those before it, each one parser block at a time, so neither keeps
     more of its half than the labels and scores. The child's evaluations
     are added to this process's counters. Otherwise, and after a failure
-    on either side, the whole file is loaded and scored here, so the
-    labels and scores, or the error, are the same either way.
+    on either side, :func:`~assetsvm.data.load_libsvm` loads the whole file
+    in this process and it is scored here, so the labels and scores, or
+    the error, are the same either way.
     """
     split = _score_halves(model, path, task, score)
     if split is not None:
         return split
-    points = data.load_libsvm(path, task, n_override=model.input_dim, split=False)
+    points = data.load_libsvm(path, task, n_override=model.input_dim)
     return points.labels, score(model, points.examples)
 
 

@@ -121,8 +121,8 @@ def write_libsvm(path, data: Dataset) -> str:
 
 @contextlib.contextmanager
 def split_files(on: bool):
-    """Split every file and every scoring between two processes (on) or none
-    (off); yield each split's outcome.
+    """Split every model file and every scoring between two processes (on)
+    or none (off); yield each split's outcome.
 
     The list gets None for a split whose child delivered its half and the
     exception type for one that failed and fell back to the sequential path,

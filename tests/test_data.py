@@ -328,17 +328,12 @@ class TestBlockParser:
         task=st.sampled_from(["classification", "regression"]),
         n_override=st.sampled_from([None, 0, 5, 20]),
         block=st.sampled_from([1, 16, 64, data.BLOCK_CHARS]),
-        split=st.booleans(),
     )
-    def test_block_and_line_paths_agree(self, text, task, n_override, block, split):
+    def test_block_and_line_paths_agree(self, text, task, n_override, block):
         with mock.patch.object(data, "BLOCK_CHARS", block):
             block_result, line_result = _both(text, task, n_override)
-            with split_files(split) as outcomes:
-                loaded = _loaded(text, task, n_override)
+            loaded = _loaded(text, task, n_override)
         assert block_result == line_result == loaded
-        if not isinstance(loaded, tuple):
-            # a file that parses was parsed by the split, not by its fallback
-            assert set(outcomes) <= {None}
 
     @pytest.mark.parametrize("lineno", [4, 6], ids=["first-of-block", "last-of-block"])
     @pytest.mark.parametrize(
@@ -397,55 +392,50 @@ def with_line(line, where):
     return "".join(lines)
 
 
-class TestSplitLoad:
-    """load_libsvm on a large file: this process parses one half, a forked child the other."""
+def _loaded_alone(content):
+    """load_libsvm's outcome on ``content`` with every split forced on, and
+    the line path's on the same file; fails if anything forks."""
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    forked = mock.patch.object(os, "fork", side_effect=AssertionError("load_libsvm forked"))
+    with tempfile.TemporaryDirectory() as root, split_files(True) as outcomes, forked:
+        assert len(content) >= halves.MIN_BYTES
+        path = os.path.join(root, "data.svm")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        loaded = _outcome(load_libsvm, path, "classification", 12)
+        with open(path, encoding="utf-8") as text:
+            line = _outcome(parse_libsvm_lines, text, "classification", 12)
+    assert outcomes == []
+    return loaded, line
+
+
+class TestLoadInOneProcess:
+    """load_libsvm parses a file of any size in this process, with the line path's outcome."""
 
     @pytest.mark.parametrize(
-        "text, fallback",
+        "text",
         [
-            (GOOD, None),
-            (GOOD.replace("\n", "\r\n"), None),
-            (GOOD.replace("\n", "\r", 10), None),
-            (with_line("# note\n", 30), None),
-            (GOOD.replace("-1 1:3.5", "2 1:3.5"), None),
-            (with_line("+1 3:1 2:1\n", 5), DataFormatError),
-            (with_line("+1 3:1 2:1\n", 35), halves.ChildFailed),
+            GOOD,
+            GOOD.replace("\n", "\r\n"),
+            GOOD.replace("\n", "\r", 10),
+            with_line("# note\n", 30),
+            GOOD.replace("-1 1:3.5", "2 1:3.5"),
+            with_line("+1 3:1 2:1\n", 5),
+            with_line("+1 3:1 2:1\n", 35),
         ],
         ids=["plain", "crlf", "cr-in-head", "comment", "bad-label", "error-in-head",
              "error-in-tail"],
     )
-    def test_split_agrees_with_the_sequential_load(self, text, fallback):
-        with split_files(True) as outcomes:
-            outcome = _loaded(text, n_override=12)
-        assert outcomes == [fallback]
-        with split_files(False) as outcomes:
-            assert outcome == _loaded(text, n_override=12)
-        assert outcomes == []
-
-    def test_file_without_a_second_half_is_not_split(self):
-        # with only carriage returns, no line starts after the middle
-        with split_files(True) as outcomes:
-            outcome = _loaded(GOOD.replace("\n", "\r"))
-        assert outcomes == []
-        assert outcome == _loaded(GOOD)
+    def test_load_agrees_with_the_line_path(self, text):
+        loaded, line = _loaded_alone(text)
+        assert loaded == line
 
     def test_invalid_utf8_is_a_format_error(self):
-        for split in (True, False):
-            with split_files(split):
-                outcome = _loaded(GOOD.encode("utf-8")[:-20] + b"\xff\n")
-            assert outcome == (
-                DataFormatError, "libsvm file is not UTF-8 text (invalid start byte: b'\\xff')"
-            )
-
-    @pytest.mark.parametrize("where", [None, 5, 35], ids=["good", "error-in-head", "error-in-tail"])
-    def test_failed_child_gives_the_sequential_outcome(self, where):
-        text = GOOD if where is None else with_line("+1 1:x\n", where)
-        failing = mock.patch.object(data, "_send_tail", side_effect=RuntimeError("child fails"))
-        with split_files(True) as outcomes, failing:
-            outcome = _loaded(text)
-        assert outcomes == [DataFormatError if where == 5 else halves.ChildFailed]
-        with split_files(False):
-            assert outcome == _loaded(text)
+        loaded, _ = _loaded_alone(GOOD.encode("utf-8")[:-20] + b"\xff\n")
+        assert loaded == (
+            DataFormatError, "libsvm file is not UTF-8 text (invalid start byte: b'\\xff')"
+        )
 
 
 @st.composite

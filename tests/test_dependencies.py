@@ -40,3 +40,23 @@ def test_modules_import_no_private_sibling_names():
                     if alias.name.startswith("_")
                 ]
     assert private == []
+
+
+def test_only_the_model_module_imports_halves():
+    # halves is the one caller of os.fork: a parse path that imports it could fork again
+    importers, forks = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if module.split(".")[-1] == "halves" or (
+                    module in ("", "assetsvm") and any(a.name == "halves" for a in node.names)
+                ):
+                    importers.add(path.name)
+            elif isinstance(node, ast.Import):
+                if any(alias.name == "assetsvm.halves" for alias in node.names):
+                    importers.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "fork":
+                forks.add(path.name)
+    assert importers == {"model.py"}
+    assert forks == {"halves.py"}

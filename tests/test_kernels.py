@@ -305,10 +305,23 @@ def _build_map(approx, data):
 
 
 class TestTrainingRows:
-    @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
-    def test_rows_mapped_once_with_map_point_bytes(self, approx):
+    @pytest.mark.parametrize(
+        "approx, layout", [("nystrom", "dense"), ("fourier", "dense"), ("fourier", "mixed")]
+    )
+    def test_rows_mapped_once_with_map_point_bytes(self, approx, layout, monkeypatch):
         ds = planted_dataset(15, 3, seed=21)
+        if layout == "mixed":
+            # one row without its middle feature: the block is not dense
+            examples = list(ds.examples)
+            examples[4] = SparseVector(np.array([0, 2]), examples[4].values[[0, 2]])
+            ds = Dataset(examples, ds.labels, ds.n, ds.task)
         fmap = _build_map(approx, ds)
+        dense_heights = []
+        if approx == "fourier":
+            map_dense = fmap.map_dense
+            monkeypatch.setattr(
+                fmap, "map_dense", lambda x: dense_heights.append(len(x)) or map_dense(x)
+            )
         reset_eval_counts()
         matrix = fmap.training_matrix(ds)
         rows = [fmap.training_row(ds, i) for i in range(ds.m)]
@@ -318,8 +331,10 @@ class TestTrainingRows:
         counts = eval_counts()
         assert counts["kernel"] + counts["cosine"] == ds.m * per_row
         assert matrix.shape == (ds.m, fmap.dim)
+        # a dense cosine block is one map_dense call, with each row's map_point bits
+        assert dense_heights == ([ds.m] if (approx, layout) == ("fourier", "dense") else [])
         for i, x in enumerate(ds.examples):
-            np.testing.assert_array_equal(matrix[i], fmap.map_point(x))
+            assert matrix[i].tobytes() == fmap.map_point(x).tobytes()
             np.testing.assert_array_equal(rows[i], matrix[i])
 
     @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
@@ -413,6 +428,21 @@ class TestRowBlocks:
         np.testing.assert_array_equal(fmap.map_all(ds.examples), whole)
         for i, x in enumerate(ds.examples):
             np.testing.assert_array_equal(fmap.map_point(x), whole[i])
+
+    def test_an_overflowing_dense_block_fails_as_map_point_does(self):
+        # each cosine counted once, and the message is map_point's ("in dot")
+        fmap = build_fourier(12, 16, GaussianKernel(0.8), seed=40)
+        rng = np.random.default_rng(41)
+        points = [dense_vector(rng.normal(size=12)) for _ in range(5)]
+        points[3] = dense_vector(np.full(12, 1e308))
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError) as alone:
+                fmap.map_point(points[3])
+            reset_eval_counts()
+            with pytest.raises(FloatingPointError) as block:
+                fmap.map_rows(SparseRows.of(points))
+        assert str(block.value) == str(alone.value)
+        assert eval_counts()["cosine"] == 3 * fmap.dim
 
     def test_landmark_width_needs_no_dense_block(self, monkeypatch):
         wide = SparseVector(np.array([10**12]), np.array([1.0]))
