@@ -423,13 +423,19 @@ class TestLoadInOneProcess:
             GOOD.replace("-1 1:3.5", "2 1:3.5"),
             with_line("+1 3:1 2:1\n", 5),
             with_line("+1 3:1 2:1\n", 35),
+            GOOD.replace("\n", "\r"),
         ],
         ids=["plain", "crlf", "cr-in-head", "comment", "bad-label", "error-in-head",
-             "error-in-tail"],
+             "error-in-tail", "cr-only"],
     )
     def test_load_agrees_with_the_line_path(self, text):
         loaded, line = _loaded_alone(text)
         assert loaded == line
+
+    def test_carriage_returns_alone_end_lines(self):
+        # no line break is a newline, so no line starts after the file's middle
+        loaded, _ = _loaded_alone(GOOD.replace("\n", "\r"))
+        assert loaded == _loaded(GOOD, n_override=12)
 
     def test_invalid_utf8_is_a_format_error(self):
         loaded, _ = _loaded_alone(GOOD.encode("utf-8")[:-20] + b"\xff\n")
