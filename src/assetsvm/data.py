@@ -31,6 +31,9 @@ TASKS = ("classification", "regression")
 # 0.2-0.3 MiB on the benchmark workloads, and made load_libsvm 4-14% slower.
 BLOCK_CHARS = 1 << 15
 _COLON, _SPACE = ord(":"), ord(" ")
+# Largest 1-based feature index: its 0-based index and the width it implies
+# both fit the int64 index arrays.
+MAX_INDEX = np.iinfo(np.int64).max
 
 
 class DataFormatError(ValueError):
@@ -282,6 +285,8 @@ def parse_row(tokens: Sequence[str], lineno: int) -> SparseVector:
             raise DataFormatError(f"line {lineno}: non-numeric feature token {token!r}") from None
         if index < 1:
             raise DataFormatError(f"line {lineno}: feature index {index} must be >= 1")
+        if index > MAX_INDEX:
+            raise DataFormatError(f"line {lineno}: feature index {index} exceeds {MAX_INDEX}")
         if not math.isfinite(value):
             raise DataFormatError(f"line {lineno}: non-finite feature value in {token!r}")
         if index <= prev:

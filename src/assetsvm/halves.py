@@ -7,11 +7,12 @@ large model file in two, and ``model.score_file`` splits a large libsvm
 file or one of many points, parsing and deciding each half in one
 process: this process does one half and a child, forked for that job
 alone, does the other with the same code and sends its result back
-through a pipe. The child is always reaped, and a failure on either side
-makes the caller redo the whole job on the sequential path, so outputs
-and errors are the same either way. ``data.load_libsvm`` never splits: on
-the largest file the benchmark trains on (904 KB) its split saved nothing
-that ``train``'s end-to-end time showed.
+through a pipe. :func:`worth_splitting` decides all three splits. The
+child is always reaped, and a failure on either side makes the caller
+redo the whole job on the sequential path, so outputs and errors are the
+same either way. ``data.load_libsvm`` never splits: on the largest file
+the benchmark trains on (904 KB) its split saved nothing that
+``train``'s end-to-end time showed.
 
 This module is the package's only caller of ``os.fork``. The program has
 no threads of its own, and the child runs only already-imported code. A
@@ -47,8 +48,16 @@ except ImportError:  # not Linux
 # so in alternating timed runs the split first won at 256 KiB for parsing
 # libsvm files alone (sparse and dense rows) and for saves, and between 320
 # and 480 KiB for model loads; at 128 KiB it lost everywhere. Smaller model
-# and scored libsvm files stay sequential.
+# files stay sequential.
 MIN_BYTES = 384 * 1024
+# A smaller libsvm file scored one point at a time (5-10 µs a decision) is
+# split from this many kernel values or cosines, points times s or d: split
+# against unsplit, it broke even between 64 000 and 100 000 on dense and
+# sparse rows and won from 128 000 on. Dense blocks (0.3-0.7 µs a point) are
+# BLAS-bound: below MIN_BYTES their split won at most 13 of 20 pairs up to
+# 5 120 000 values (19 of 20 only at 10 240 000), so a file scored in
+# blocks splits by its size alone.
+MIN_EVALS = 100_000
 # Largest buffer the parent copies a child's result through.
 BOUNCE_BYTES = 1 << 16
 # Pipe capacity asked for: a child's whole result fits, so the child exits
@@ -73,9 +82,10 @@ def available() -> bool:
     return hasattr(os, "fork") and usable_cpus() >= 2
 
 
-def worth_splitting(nbytes: int) -> bool:
-    """Whether a file of ``nbytes`` is split between this process and a child."""
-    return nbytes >= MIN_BYTES and available()
+def worth_splitting(nbytes: int, evals: int = 0) -> bool:
+    """Whether a file of ``nbytes``, or ``evals`` kernel values or cosines of
+    points scored one at a time, is split between this process and a child."""
+    return (nbytes >= MIN_BYTES or evals >= MIN_EVALS) and available()
 
 
 @contextlib.contextmanager

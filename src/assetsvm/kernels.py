@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .data import Dataset, SparseRows, SparseVector
+from .data import DataFormatError, Dataset, SparseRows, SparseVector
 from .linalg import sym_eig
 from .rng import FOURIER_STREAM, NYSTROM_SAMPLE_STREAM, stream
 
@@ -120,9 +120,16 @@ class Landmarks:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """2 sigma times the points, as a (width x len) array: column i is point i."""
+        """2 sigma times the points, as a (width x len) array: column i is point i.
+
+        A table that cannot be allocated raises MemoryError, also one whose
+        size numpy refuses outright.
+        """
         points = self.points
-        table = np.zeros((self.width, len(points)))
+        try:
+            table = np.zeros((self.width, len(points)))
+        except ValueError:  # numpy's "array is too big", before any allocation
+            raise MemoryError(f"a {self.width} x {len(points)} table is too big") from None
         owners = np.repeat(np.arange(len(points)), np.diff(points.indptr))
         table[points.indices, owners] = (2.0 * self.kernel.sigma) * points.values
         return table
@@ -363,7 +370,9 @@ def build_nystrom(
     """Sample landmarks without replacement and factorize their kernel block.
 
     The retained dimension is the number of eigenvalues >= ``eps_d``,
-    capped at ``target_dim``.
+    capped at ``target_dim``. A landmark kernel table that does not fit in
+    memory is a :class:`DataFormatError`: its height is the sampled points'
+    largest feature index, which the data sets.
     """
     if data.m < 1:
         raise ValueError("dataset must contain at least one example")
@@ -379,6 +388,13 @@ def build_nystrom(
     rng = stream(seed, NYSTROM_SAMPLE_STREAM)
     indices = np.sort(rng.choice(data.m, size=sample_size, replace=False))
     landmarks = Landmarks(kernel, data.examples.take(indices))
+    try:
+        landmarks.table
+    except MemoryError:
+        raise DataFormatError(
+            f"the sampled landmarks use feature index {landmarks.width}: their "
+            f"{landmarks.width} x {sample_size} kernel table does not fit in memory"
+        ) from None
 
     eig = sym_eig(landmarks.block())
     # An absolute eps_d below machine noise cannot separate true rank from
@@ -414,7 +430,10 @@ def build_fourier(
     rng = stream(seed, FOURIER_STREAM)
     # the values of one (dim x input_dim) draw, drawn in blocks of rows into
     # the column-major layout FourierMap keeps, so no second copy is made
-    frequencies = np.empty((dim, input_dim), order="F")
+    try:
+        frequencies = np.empty((dim, input_dim), order="F")
+    except ValueError:  # numpy's "array is too big", before any allocation
+        raise MemoryError(f"a {dim} x {input_dim} frequency matrix is too big") from None
     scale = math.sqrt(2.0 * kernel.sigma)
     step = max(1, ROW_BLOCK_VALUES // input_dim)
     for start in range(0, dim, step):

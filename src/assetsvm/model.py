@@ -44,23 +44,6 @@ APPROX_NAMES = ("nystrom", "fourier")
 # doubles drawn from a normal distribution print as 18-21 of them. It sizes
 # a file before it is written, to decide whether to split the formatting.
 FLOAT_TEXT_BYTES = 20
-# A libsvm file is scored in two processes (score_file) once it holds
-# halves.MIN_BYTES or its points' kernel values or cosines, points times s
-# or d, reach MIN_SPLIT_EVALS, or MIN_BLOCK_SPLIT_EVALS when decide_block
-# scores it. The split's fixed cost (fork, the child's start and exit) is
-# several milliseconds. In alternating timed runs on a 2-core x86 host
-# (one BLAS thread), split against unsplit:
-# * decide_all, 5-10 µs a decision: the split broke even between 64 000
-#   and 80 000 evaluations with dense rows (s = 80, d = 64) and near
-#   100 000 with sparse 1000-feature rows (d = 128); from 128 000 on it
-#   won everywhere.
-# * decide_block on dense rows, 0.3-0.7 µs a point at s = 80 or d = 64:
-#   below halves.MIN_BYTES, 20 pairs a size, the split won 0-9 of 20 up
-#   to 2 560 000 evaluations (moons, s = 80 to 1280, 89-359 KiB; sine's
-#   160 KiB file, d = 64, 0 of 20: 22.9 against 18.5 ms), 9-13 of 20 at
-#   5 120 000 and 19 of 20 at 10 240 000 (s = 2560, 179 KiB).
-MIN_SPLIT_EVALS = 100_000
-MIN_BLOCK_SPLIT_EVALS = 5_000_000
 
 
 class ModelFormatError(ValueError):
@@ -183,12 +166,6 @@ def predict_label(model: Model, x: SparseVector) -> int:
     return 1 if decide(model, x) >= 0.0 else -1
 
 
-def _evals_per_point(model: Model) -> int:
-    if model.approx == "fourier":
-        return model.payload.dim
-    return len(model.payload.landmarks)
-
-
 def decide_all(model: Model, rows: SparseRows) -> np.ndarray:
     """Raw decision value of every row, one :func:`decide` call per row.
 
@@ -283,17 +260,14 @@ def _score_halves(
     model: Model, path: str, task: str, score: Scorer
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """:func:`score_file` split in two processes, or None when it is not split or fails."""
-    if not halves.available():
-        return None
     before = eval_counts()
     try:
         with open(path, "rb") as raw:
             if not raw.seekable():
                 return None
             survey = data._survey(raw)
-            evals = survey.newlines * _evals_per_point(model)
-            min_evals = MIN_BLOCK_SPLIT_EVALS if score is decide_block else MIN_SPLIT_EVALS
-            if survey.split is None or (survey.size < halves.MIN_BYTES and evals < min_evals):
+            evals = survey.newlines * model._weights.size if score is decide_all else 0
+            if survey.split is None or not halves.worth_splitting(survey.size, evals):
                 return None
             raw.seek(0)
             tail = functools.partial(_send_tail_scores, model, score, path, survey)
@@ -328,17 +302,17 @@ def score_file(model: Model, path: str, task: str, score: Scorer) -> tuple[np.nd
     for ``task``. The scores come from ``score`` (:func:`decide_all` or
     :func:`decide_block`), called on each parser block, or on the whole
     file when it is not split; both give every point the bits of
-    :func:`decide`. A file of at least ``halves.MIN_BYTES``, or whose
-    points need at least ``MIN_SPLIT_EVALS`` kernel values or cosines
-    (``MIN_BLOCK_SPLIT_EVALS`` for :func:`decide_block`), is split once (see
-    :mod:`assetsvm.halves`): a forked child parses and scores the points
-    after the middle of the file while this process parses and scores
-    those before it, each one parser block at a time, so neither keeps
-    more of its half than the labels and scores. The child's evaluations
-    are added to this process's counters. Otherwise, and after a failure
-    on either side, :func:`~assetsvm.data.load_libsvm` loads the whole file
-    in this process and it is scored here, so the labels and scores, or
-    the error, are the same either way.
+    :func:`decide`. A file of at least ``halves.MIN_BYTES`` is split once
+    (see :mod:`assetsvm.halves`), and so is one scored by :func:`decide_all`
+    whose points need at least ``halves.MIN_EVALS`` kernel values or
+    cosines: a forked child parses and scores the points after the middle
+    of the file while this process parses and scores those before it, each
+    one parser block at a time, so neither keeps more of its half than the
+    labels and scores. The child's evaluations are added to this process's
+    counters. Otherwise, and after a failure on either side,
+    :func:`~assetsvm.data.load_libsvm` loads the whole file in this process
+    and it is scored here, so the labels and scores, or the error, are the
+    same either way.
     """
     split = _score_halves(model, path, task, score)
     if split is not None:
@@ -471,7 +445,7 @@ def _read_freq_rows(reader: _LineReader, out: np.ndarray, first: int) -> None:
 
 
 def _send_freq_rows(path: str, skip: int, first: int, count: int, width: int, pipe: IO[bytes]) -> None:
-    """The child's half of a load: ``count`` frequency rows after line ``skip``, sent in C order.
+    """The child's half of a load: ``count`` frequency rows after line ``skip``, sent by column.
 
     The child opens the file itself: a descriptor inherited across the fork
     shares its offset with the parent's.
@@ -479,25 +453,9 @@ def _send_freq_rows(path: str, skip: int, first: int, count: int, width: int, pi
     with open(path, "r", encoding="utf-8") as handle:
         reader = _LineReader(itertools.islice(handle, skip, None))
         reader.lineno = skip
-        block = np.empty((count, width))
-        _read_freq_rows(reader, block, first)
-    pipe.write(block)
-
-
-def _receive_rows(pipe: IO[bytes], out: np.ndarray) -> None:
-    """Fill ``out``, of any layout, with rows sent in C order, through a small buffer."""
-    width = out.shape[1]
-    bounce = np.empty(min(halves.BOUNCE_BYTES // 8, out.size))
-    done = 0
-    while done < out.size:
-        chunk = bounce[: min(bounce.size, out.size - done)]
-        halves.read_exact(pipe, chunk)
-        while chunk.size:
-            row, col = divmod(done, width)
-            take = min(width - col, chunk.size)
-            out[row, col : col + take] = chunk[:take]
-            chunk = chunk[take:]
-            done += take
+        columns = np.empty((width, count))
+        _read_freq_rows(reader, columns.T, first)
+    pipe.write(columns)
 
 
 def load_model(source: str | IO[str]) -> Model:
@@ -573,7 +531,13 @@ def _read(source: IO[str], path: str | None) -> Model:
             )
             with halves.child(send) as pipe:
                 _read_freq_rows(reader, freqs[1:half], 1)
-                _receive_rows(pipe, freqs[half:])
+                # as many whole columns at a time as the buffer holds
+                columns = freqs[half:].T
+                bounce = np.empty((max(1, halves.BOUNCE_BYTES // (8 * (dim - half))), dim - half))
+                for start in range(0, input_dim, len(bounce)):
+                    chunk = bounce[: input_dim - start]
+                    halves.read_exact(pipe, chunk)
+                    columns[start : start + len(chunk)] = chunk
         else:
             _read_freq_rows(reader, freqs[1:], 1)
         payload: FourierMap | NystromRecovery = FourierMap(

@@ -17,7 +17,6 @@ from assetsvm import (
     format_libsvm,
     halves,
 )
-from assetsvm import model as model_module
 
 
 def dense_vector(values) -> SparseVector:
@@ -143,7 +142,6 @@ def split_files(on: bool):
 
     threshold = 0 if on else 1 << 62
     with mock.patch.object(halves, "MIN_BYTES", threshold), \
-            mock.patch.object(model_module, "MIN_SPLIT_EVALS", threshold), \
-            mock.patch.object(model_module, "MIN_BLOCK_SPLIT_EVALS", threshold), \
+            mock.patch.object(halves, "MIN_EVALS", threshold), \
             mock.patch.object(halves, "child", recorded):
         yield outcomes

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,16 @@ def moons_files(tmp_path):
     train = write_libsvm(tmp_path / "train.svm", two_moons(500, seed=0, noise=0.15))
     test = write_libsvm(tmp_path / "test.svm", two_moons(300, seed=1, noise=0.15))
     return train, test
+
+
+_zeros = np.zeros
+
+
+def bounded_zeros(shape, *args, **kwargs):
+    """np.zeros that refuses more than a million entries instead of asking the host."""
+    if math.prod(np.atleast_1d(shape).tolist()) > 1_000_000:
+        raise MemoryError(f"cannot allocate {shape}")
+    return _zeros(shape, *args, **kwargs)
 
 
 def train_args(train, model, **overrides):
@@ -313,13 +324,6 @@ class TestPredict:
         )
         data = tmp_path / "one.svm"
         data.write_text("+1 1:0.5\n")
-        zeros = np.zeros
-
-        def bounded_zeros(shape, *args, **kwargs):
-            if np.prod(shape) > 1_000_000:
-                raise MemoryError(f"cannot allocate {shape}")
-            return zeros(shape, *args, **kwargs)
-
         monkeypatch.setattr(np, "zeros", bounded_zeros)
         assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
         err = capsys.readouterr().err
@@ -873,6 +877,80 @@ class TestHugeDimension:
             "error: --d 100000000000: a 100000000000 x 2 frequency matrix does not fit in memory\n"
         )
         assert not model.exists() and not metrics.exists()
+
+    def test_index_past_int64_is_data_error(self, tmp_path, capsys):
+        train = write_libsvm(tmp_path / "train.svm", two_moons(40, seed=3))
+        model = str(tmp_path / "model.txt")
+        assert main(train_args(train, model, **{"--s": "9", "--epochs": "1"})) == 0
+        bad = tmp_path / "bad.svm"
+        bad.write_text("+1 1:0.5\n-1 1:0.25 99999999999999999999:1\n")
+        preds = tmp_path / "preds.txt"
+        preds.write_text("+1 0.5\n-1 -0.5\n")
+        message = "feature index 99999999999999999999 exceeds 9223372036854775807"
+        for command in (
+            train_args(str(bad), str(tmp_path / "other.txt")),
+            ["predict", "--model", model, "--data", str(bad)],
+            ["eval", "--model", model, "--data", str(bad)],
+            ["eval", "--pred", str(preds), "--task", "class", "--data", str(bad)],
+        ):
+            for split in (False, True):
+                with split_files(split):
+                    assert main(command) == 2
+                assert capsys.readouterr() == ("", f"data error: line 2: {message}\n")
+        assert not (tmp_path / "other.txt").exists()
+        # a landmark model's support line goes through the same parser
+        wide = tmp_path / "wide.txt"
+        wide.write_text(
+            "ASSET-MODEL v1\ntask classification\napprox nystrom\nsigma 1.0\n"
+            "lambda 0.001\nbias 0.0\nn 2\nd 1\ns 1\n"
+            "gamma 1.0\nalpha 1.0\nsupport 99999999999999999999:1.0\n"
+        )
+        with pytest.raises(ModelFormatError, match=f"^line 12: {message}$"):
+            load_model(str(wide))
+        assert main(["predict", "--model", str(wide), "--data", train]) == 2
+        assert capsys.readouterr().err == f"data error: line 12: {message}\n"
+
+    @pytest.mark.parametrize("index", ["1000000000000", "9223372036854775807"])
+    def test_landmark_table_too_large_is_data_error(self, index, tmp_path, capsys, monkeypatch):
+        # the sampled landmarks' table has a row per feature up to their
+        # largest index: numpy refuses the second size outright, and the first
+        # is refused here before it is tried
+        data = tmp_path / "wide.svm"
+        data.write_text(f"+1 1:0.5 {index}:1\n-1 1:0.25\n")
+        model = tmp_path / "model.txt"
+        monkeypatch.setattr(np, "zeros", bounded_zeros)
+        assert main(train_args(str(data), str(model), **{"--s": "2"})) == 2
+        assert capsys.readouterr().err == (
+            f"data error: the sampled landmarks use feature index {index}: "
+            f"their {index} x 2 kernel table does not fit in memory\n"
+        )
+        assert not model.exists()
+
+    def test_frequency_matrix_past_numpy_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "wide.svm"
+        data.write_text("+1 1:0.5 9223372036854775807:1\n-1 1:0.25\n")
+        model = tmp_path / "model.txt"
+        code = main(["train", "--task", "class", "--approx", "fourier", "--d", "4",
+                     "--data", str(data), "--model", str(model)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --d 4: a 4 x 9223372036854775807 frequency matrix does not fit in memory\n"
+        )
+        assert not model.exists()
+
+    def test_support_table_past_numpy_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(
+            "ASSET-MODEL v1\ntask classification\napprox nystrom\nsigma 1.0\n"
+            "lambda 0.001\nbias 0.0\nn 9223372036854775807\nd 1\ns 1\n"
+            "gamma 1.0\nalpha 1.0\nsupport 9223372036854775807:1.0\n"
+        )
+        data = tmp_path / "one.svm"
+        data.write_text("+1 1:0.5\n")
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
+        assert capsys.readouterr() == (
+            "", "data error: the support points' kernel table does not fit in memory\n"
+        )
 
 
 class TestConsoleEntry:

@@ -356,6 +356,14 @@ class TestBlockParser:
         assert block_result == line_result
         assert block_result == (DataFormatError, f"line {lineno}: {expected}")
 
+    @pytest.mark.parametrize("index", ["9223372036854775808", "99999999999999999999"])
+    def test_index_past_int64_is_a_format_error(self, index):
+        # the largest index whose width fits int64 loads; one more fails on its line
+        top = parse_text("+1 1:0.5 9223372036854775807:1\n")
+        assert top.n == 9223372036854775807
+        expected = (DataFormatError, f"line 2: feature index {index} exceeds 9223372036854775807")
+        assert _both(f"+1 1:0.5\n-1 {index}:1\n") == (expected, expected)
+
     @pytest.mark.parametrize(
         "text, expected",
         [

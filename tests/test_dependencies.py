@@ -60,3 +60,29 @@ def test_only_the_model_module_imports_halves():
                 forks.add(path.name)
     assert importers == {"model.py"}
     assert forks == {"halves.py"}
+
+
+
+def test_the_split_policy_lives_in_halves():
+    # halves.worth_splitting is the one gate of every split: only halves reads
+    # its thresholds, and model reaches the split through three functions and
+    # the size of the buffer it copies a child's result through
+    readers, reached = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "halves":
+                    reached.add(f"{path.name}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("halves"):
+                reached.update(f"{path.name}: {alias.name}" for alias in node.names)
+            names = {
+                getattr(node, "id", None), getattr(node, "attr", None),
+                node.name if isinstance(node, ast.alias) else None,
+            }
+            if names & {"MIN_BYTES", "MIN_EVALS"}:
+                readers.add(path.name)
+    assert readers == {"halves.py"}
+    assert reached == {
+        "model.py: worth_splitting", "model.py: child", "model.py: read_exact",
+        "model.py: BOUNCE_BYTES",
+    }

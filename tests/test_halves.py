@@ -68,11 +68,13 @@ def test_splitting_needs_size_fork_and_two_cpus(monkeypatch):
     monkeypatch.setattr(halves, "usable_cpus", lambda: 2)
     assert halves.worth_splitting(halves.MIN_BYTES)
     assert not halves.worth_splitting(halves.MIN_BYTES - 1)
+    assert halves.worth_splitting(0, halves.MIN_EVALS)
+    assert not halves.worth_splitting(halves.MIN_BYTES - 1, halves.MIN_EVALS - 1)
     monkeypatch.setattr(halves, "usable_cpus", lambda: 1)
-    assert not halves.worth_splitting(halves.MIN_BYTES)
+    assert not halves.worth_splitting(halves.MIN_BYTES, halves.MIN_EVALS)
     monkeypatch.setattr(halves, "usable_cpus", lambda: 2)
     monkeypatch.delattr(os, "fork")
-    assert not halves.worth_splitting(halves.MIN_BYTES)
+    assert not halves.worth_splitting(halves.MIN_BYTES, halves.MIN_EVALS)
 
 
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):

@@ -456,6 +456,15 @@ class TestRowBlocks:
         with pytest.raises(MemoryError):
             landmarks.table
 
+    def test_sizes_numpy_refuses_are_memory_errors(self):
+        # numpy rejects these shapes with a ValueError, without allocating
+        top = np.iinfo(np.int64).max
+        wide = SparseVector(np.array([top - 1]), np.array([1.0]))
+        with pytest.raises(MemoryError, match=f"^a {top} x 1 table is too big$"):
+            Landmarks(GaussianKernel(1.0), (wide,)).table
+        with pytest.raises(MemoryError, match=f"^a 4 x {top} frequency matrix is too big$"):
+            build_fourier(top, 4, GaussianKernel(1.0))
+
 
 class TestDenseRows:
     """A point that holds every feature of the table multiplies the table

@@ -533,6 +533,19 @@ class TestSplitModelFiles:
             assert self.outcome(str(path)) == expected
         assert outcomes == [fallback]
 
+    @pytest.mark.parametrize("bounce", [16, 100], ids=["column-per-read", "columns-per-read"])
+    def test_split_load_reads_whole_columns_through_the_buffer(self, bounce, tmp_path):
+        # the child's 5 columns of 5 rows, 40 bytes each, arrive one at a time
+        # through a 16-byte buffer and two at a time, then one, through 100
+        model = fourier_model(n=5, dim=10, seed=4)
+        path = str(tmp_path / "model.txt")
+        save_model(model, path)
+        with split_files(True) as outcomes, mock.patch.object(halves, "BOUNCE_BYTES", bounce):
+            loaded = load_model(path)
+        assert outcomes == [None]
+        assert np.array_equal(loaded.payload.frequencies, model.payload.frequencies)
+        assert loaded.payload.frequencies.flags.f_contiguous
+
     def test_failed_child_gives_the_sequential_outcome(self, tmp_path):
         model = fourier_model(n=5, dim=9, seed=3)
         path = str(tmp_path / "model.txt")

@@ -1,15 +1,18 @@
 """One split per file for ``predict`` and ``eval --model``.
 
 Both commands score a libsvm file through ``model.score_file``. From
-``halves.MIN_BYTES`` bytes or ``model.MIN_SPLIT_EVALS`` kernel values or
-cosines on, it forks one child, which parses and decides the points after
-the middle of the file while this process parses and decides those before
-it. These tests force that split (``helpers.split_files``) on inputs far
-below both thresholds and check that it changes nothing a user or the
-benchmark can see: the exit code and message of a failing point or line,
-the labels of a 0/1 file, the evaluation counters, the traced spans, and
-the output bytes in fresh interpreters at one and two BLAS threads. Each
-command forks once, and no child outlives it.
+``halves.MIN_BYTES`` bytes on, or for ``predict``, which decides one point
+at a time, from ``halves.MIN_EVALS`` kernel values or cosines on, it forks
+one child, which parses and decides the points after the middle of the
+file while this process parses and decides those before it; ``eval``'s
+block scoring splits by size alone. These tests force that split
+(``helpers.split_files``) on inputs far below both thresholds, check that
+only the size and the per-point evaluations decide it, and check that it
+changes nothing a user or the benchmark can see: the exit code and
+message of a failing point or line, the labels of a 0/1 file, the
+evaluation counters, the traced spans, and the output bytes in fresh
+interpreters at one and two BLAS threads. Each command forks once, and
+no child outlives it.
 """
 
 from __future__ import annotations
@@ -160,6 +163,28 @@ def test_block_scored_eval_counts_every_evaluation_once(approx, size, split, tmp
         assert main(["eval", "--model", model, "--data", test]) == 0
         assert eval_counts() == {"kernel": 0, "cosine": 0, kind: m * per_point}
     assert outcomes == (model_splits(approx) + [None] if split else [])
+
+
+@pytest.mark.parametrize("approx, size", APPROXES, ids=["nystrom", "fourier"])
+def test_only_per_point_scoring_splits_by_evaluations(approx, size, tmp_path, capsys):
+    # below MIN_BYTES, predict's per-point decisions split by their count;
+    # eval's dense blocks split by the file's size alone
+    model = train_model(approx, size, tmp_path)
+    test = write_libsvm(tmp_path / "test.svm", two_moons(41, seed=4))
+    out = tmp_path / "preds.txt"
+    predict = ["predict", "--model", model, "--data", test, "--out", str(out)]
+    evaluate = ["eval", "--model", model, "--data", test]
+    with split_files(False):
+        assert main(predict) == 0
+        assert main(evaluate) == 0
+    expected = out.read_bytes(), capsys.readouterr()
+    out.unlink()
+    with split_files(False) as outcomes, mock.patch.object(halves, "MIN_EVALS", 1):
+        assert main(evaluate) == 0
+        assert outcomes == []
+        assert main(predict) == 0
+    assert outcomes == [None]
+    assert (out.read_bytes(), capsys.readouterr()) == expected
 
 
 @pytest.mark.parametrize("approx, size", APPROXES, ids=["nystrom", "fourier"])
