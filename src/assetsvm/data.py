@@ -165,20 +165,6 @@ class SparseRows(Sequence[SparseVector]):
         """Largest index present + 1, or 0 if no row has a feature."""
         return int(self.indices.max()) + 1 if self.indices.size else 0
 
-    def dense(self, width: int) -> np.ndarray | None:
-        """The rows as a (len x width) view of ``values`` when each row holds
-        exactly features 0 .. width - 1, else None."""
-        if not (
-            width
-            and len(self)
-            and (np.diff(self.indptr) == width).all()
-            and self.indices.max() < width
-        ):
-            return None
-        # strictly increasing indices, width of them and all below the width,
-        # are exactly 0 .. width - 1 in every row
-        return self.values.reshape(len(self), width)
-
     def take(self, order: Sequence[int] | np.ndarray) -> "SparseRows":
         """New rows holding the rows at ``order``, in that order."""
         order = np.asarray(order, dtype=np.int64).reshape(-1)
@@ -192,19 +178,6 @@ class SparseRows(Sequence[SparseVector]):
         np.cumsum(lengths, out=indptr[1:])
         picks = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return SparseRows(indptr, self.indices[picks], self.values[picks])
-
-    def sq_norms(self) -> np.ndarray:
-        """Each row's squared Euclidean norm.
-
-        Every row is summed on its own, so a row's norm does not depend on
-        which other rows share the block.
-        """
-        out = np.zeros(len(self))
-        filled = np.flatnonzero(np.diff(self.indptr))
-        if filled.size:
-            squares = self.values * self.values
-            out[filled] = np.add.reduceat(squares, self.indptr[filled] - self.indptr[0])
-        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,10 @@ approximate kernel values, <row(x), row(y)> ~ k(x, y):
   unbiased estimates of the (shift-invariant) Gaussian kernel.
 
 ``Landmarks`` is the one kernel evaluation: the landmark map, a landmark
-model's decisions and the exact kernel matrix all go through it.
+model's decisions and the exact kernel matrix all go through it. A block
+of rows, dense or sparse, is mapped through one helper,
+``_row_products``, as stacks of the one-row products a single point
+makes, so each row has the same bits alone and in a block of any height.
 
 Module-level evaluation counters support cost assertions in tests: every
 kernel value and every cosine feature computed anywhere is counted.
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -136,7 +139,7 @@ class Landmarks:
 
     @cached_property
     def neg_norms(self) -> np.ndarray:
-        return -self.kernel.sigma * self.points.sq_norms()
+        return -self.kernel.sigma * _sq_norms(self.points)
 
     def block(self) -> np.ndarray:
         """Symmetrized kernel matrix of the points against each other."""
@@ -144,37 +147,32 @@ class Landmarks:
         return (block + block.T) / 2.0
 
     def rows(self, x: SparseRows) -> np.ndarray:
-        """The kernel values of each row of ``x`` against each point, one row per row.
+        """:meth:`row` of each row of ``x``, one row per row, with its bits.
 
-        The cross products gather the table's rows at the rows' nonzeros,
-        so a block costs its nonzeros times the number of points, not the
-        points' width. Each row adds its products one feature at a time,
-        in its own order, so its values do not depend on the block it is
-        mapped in. Coordinates beyond the points' width are zero for every
-        point, so they enter only the rows' norms.
+        Each row's norm (:func:`_sq_norms`) and cross products
+        (:func:`_row_products`) are the calls :meth:`row` makes for it, so
+        its values do not depend on the block. A block costs its nonzeros
+        times the number of points, not the points' width. Coordinates
+        beyond the points' width are zero for every point, so they enter
+        only the rows' norms.
         """
         table = self.table
-        starts = x.indptr[:-1] - x.indptr[0]
-        lengths = np.diff(x.indptr)
-        cross = np.zeros((len(x), len(self)))
-        for k in range(int(lengths.max(initial=0))):
-            live = np.flatnonzero(lengths > k)
-            at = starts[live] + k
-            inside = x.indices[at] < len(table)
-            live, at = live[inside], at[inside]
-            cross[live] += x.values[at, np.newaxis] * table[x.indices[at]]
-        norms = -self.kernel.sigma * x.sq_norms()
-        return _gaussian(cross, norms[:, np.newaxis], self.neg_norms)
+        norms = -self.kernel.sigma * _sq_norms(x)
+        inside = x.indices < len(table)
+        if not inside.all():
+            kept = np.concatenate(([0], np.cumsum(inside)))
+            x = SparseRows(kept[x.indptr - x.indptr[0]], x.indices[inside], x.values[inside])
+        return _gaussian(_row_products(x, table), self.neg_norms, norms[:, np.newaxis])
 
     def row(self, x: SparseVector) -> np.ndarray:
         """The kernel values of one point against each point, in order.
 
         A decision scores one point at a time, so this gathers the table
         rows at the point's nonzeros instead of densifying a one-row
-        block: the cost follows its nonzeros, not the points' width. It
-        rounds differently from :meth:`rows`. A point that holds every
-        feature of the table multiplies the table itself: the gather would
-        copy it whole, to the same layout, so the product's bits agree.
+        block: the cost follows its nonzeros, not the points' width. A
+        point that holds every feature of the table multiplies the table
+        itself: the gather would copy it whole, to the same layout, so the
+        product's bits agree.
         """
         table = self.table
         width = len(table)
@@ -189,17 +187,59 @@ class Landmarks:
             table = table.take(idx, axis=0)
         return _gaussian(values.dot(table), self.neg_norms, norm)
 
-    def dense_rows(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`row` of each row of ``x``, a (height x width) block, with its bits.
 
-        The norms and the cross products are stacks of one-row products:
-        one BLAS call per row, the call :meth:`row` makes for a point that
-        holds every feature of the table.
-        """
-        stack = x[:, np.newaxis, :]
-        norms = np.matmul(stack, x[:, :, np.newaxis])[:, 0]
-        norms *= -self.kernel.sigma
-        return _gaussian(np.matmul(stack, self.table)[:, 0, :], self.neg_norms, norms)
+def _equal_lengths(
+    rows: SparseRows, columns: int
+) -> Iterator[tuple[slice | np.ndarray, np.ndarray]]:
+    """The rows of ``rows`` that have k nonzeros, for each k, in stacks of at
+    most about ROW_BLOCK_VALUES / (k * ``columns``) rows, so that a stack's
+    gather of k * ``columns`` entries per row stays near ROW_BLOCK_VALUES.
+
+    Each stack is the rows' positions in the block and a (rows x k) array
+    of the positions of their entries in ``rows.indices`` and ``rows.values``.
+    """
+    lengths = np.diff(rows.indptr)
+    starts = rows.indptr[:-1] - rows.indptr[0]
+    counts = np.bincount(lengths).tolist()
+    # rows of one length keep their order, and are taken by slices
+    order = None if len(rows) in counts else np.argsort(lengths, kind="stable")
+    stop = 0
+    for k, count in enumerate(counts):
+        first, stop = stop, stop + count
+        step = max(1, ROW_BLOCK_VALUES // max(1, k * columns))
+        for start in range(first, stop, step):
+            members = slice(start, min(start + step, stop))
+            if order is not None:
+                members = order[members]
+            yield members, starts[members, np.newaxis] + np.arange(k)
+
+
+def _sq_norms(rows: SparseRows) -> np.ndarray:
+    """Each row's ``values.dot(values)``, as a stack of one-row products, with its bits."""
+    norms = np.empty(len(rows))
+    for members, at in _equal_lengths(rows, 1):
+        values = rows.values[at]
+        norms[members] = np.matmul(values[:, np.newaxis, :], values[:, :, np.newaxis])[:, 0, 0]
+    return norms
+
+
+def _row_products(rows: SparseRows, matrix: np.ndarray) -> np.ndarray:
+    """Each row's ``values.dot(matrix.take(indices, axis=0))``, with its bits.
+
+    The rows of each nonzero count are a stack of those one-row products,
+    one BLAS call per row on the layout a single point uses. A row that
+    holds every row of ``matrix`` multiplies ``matrix`` itself, which the
+    gather would copy whole. An index past ``matrix`` is an IndexError.
+    """
+    if rows.indices.size and rows.indices.max() >= len(matrix):
+        raise IndexError(f"index {rows.indices.max()} is past the {len(matrix)} rows")
+    out = np.empty((len(rows), matrix.shape[1]))
+    for members, at in _equal_lengths(rows, matrix.shape[1]):
+        # strictly increasing indices below len(matrix), as many as its
+        # rows, are exactly every row
+        gathered = matrix if at.shape[1] == len(matrix) else matrix[rows.indices[at]]
+        out[members] = np.matmul(rows.values[at][:, np.newaxis, :], gathered)[:, 0, :]
+    return out
 
 
 class _TrainingRows:
@@ -282,6 +322,8 @@ class FourierMap(_TrainingRows):
     feature. A sparse point gathers the rows at its nonzeros and a point
     that holds every input feature takes the view itself; both then make
     the same BLAS call on the same layout, and so get the same bits.
+    :meth:`map_rows` makes that call for each row of a block
+    (:func:`_row_products`), so each row has the bits of :meth:`map_point`.
     """
 
     kernel: GaussianKernel
@@ -306,31 +348,13 @@ class FourierMap(_TrainingRows):
 
     def map_point(self, x: SparseVector) -> np.ndarray:
         # one buffer: the phase, then its cosine, then the scaled feature
-        idx = x.indices
-        if idx.size:
-            rows = self._rows
-            # strictly increasing indices, as many as the rows and the last
-            # one the last row, are exactly every row
-            if idx.size != rows.shape[0] or idx[-1] != idx.size - 1:
-                rows = rows.take(idx, axis=0)
-            # .dot, not @: the same vector-matrix product, with less overhead
-            phase = x.values.dot(rows)
-            phase += self.offsets
-        else:
-            phase = self.offsets.copy()
-        _counts["cosine"] += phase.size
-        np.cos(phase, out=phase)
-        phase *= self._scale
-        return phase
-
-    def map_dense(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`map_point` of each row of ``x``, a (height x n) block, with its bits.
-
-        The phases are a stack of one-row products: one BLAS call per row,
-        the call :meth:`map_point` makes for a point that holds every
-        input feature. The cosines are taken in place, as there.
-        """
-        phase = np.matmul(x[:, np.newaxis, :], self._rows)[:, 0, :]
+        idx, rows = x.indices, self._rows
+        # strictly increasing indices, as many as the rows and the last one
+        # the last row, are exactly every row
+        if idx.size != len(rows) or idx[-1] != idx.size - 1:
+            rows = rows.take(idx, axis=0)
+        # .dot, not @: the same vector-matrix product, with less overhead
+        phase = x.values.dot(rows)
         phase += self.offsets
         _counts["cosine"] += phase.size
         np.cos(phase, out=phase)
@@ -338,19 +362,20 @@ class FourierMap(_TrainingRows):
         return phase
 
     def map_rows(self, rows: SparseRows) -> np.ndarray:
-        dense = rows.dense(self.frequencies.shape[1])
-        if dense is not None:
-            cosines = _counts["cosine"]
-            try:
-                return self.map_dense(dense)
-            except FloatingPointError:
-                # row by row, so a row fails with map_point's own message
-                _counts["cosine"] = cosines
-        # any other block row by row: a gather of its frequency columns is no faster
-        out = np.empty((len(rows), self.dim))
-        for i, x in enumerate(rows):
-            out[i] = self.map_point(x)
-        return out
+        # map_point's steps on a block, whose phases are a stack of the
+        # products map_point makes (_row_products): each row gets its bits
+        cosines = _counts["cosine"]
+        try:
+            phase = _row_products(rows, self._rows)
+            phase += self.offsets
+            _counts["cosine"] += phase.size
+            np.cos(phase, out=phase)
+            phase *= self._scale
+            return phase
+        except FloatingPointError:
+            # row by row, so a row fails with map_point's own message
+            _counts["cosine"] = cosines
+            return np.stack([self.map_point(x) for x in rows])
 
     def training_row(self, data: Dataset, index: int) -> np.ndarray:
         return self.training_matrix(data)[index]

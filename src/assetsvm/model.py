@@ -80,11 +80,10 @@ class Model:
     payload: FourierMap | NystromRecovery
     # a decision's two operands, looked up once: the map from a point to
     # its cosines or kernel values, and the weights dotted with them; and
-    # the same map over a dense block, whose rows hold features 0 .. _width - 1
+    # the same map over a block of rows, with each row's bits
     _features: Callable[[SparseVector], np.ndarray] = field(init=False, repr=False)
     _weights: np.ndarray = field(init=False, repr=False)
-    _dense: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
-    _width: int = field(init=False, repr=False)
+    _block: Callable[[SparseRows], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=np.float64))
@@ -108,7 +107,7 @@ class Model:
                 )
             payload_sigma = self.payload.kernel.sigma
             features, weights = self.payload.map_point, self.gamma
-            dense = self.payload.map_dense
+            block = self.payload.map_rows
         else:
             if not isinstance(self.payload, NystromRecovery):
                 raise ValueError("nystrom models require a NystromRecovery payload")
@@ -119,7 +118,7 @@ class Model:
                 )
             payload_sigma = self.payload.landmarks.kernel.sigma
             features, weights = self.payload.landmarks.row, self.payload.alpha
-            dense = self.payload.landmarks.dense_rows
+            block = self.payload.landmarks.rows
         if self.sigma != payload_sigma:
             # the file stores Model.sigma, and loading rebuilds the kernel from it
             raise ValueError(
@@ -127,8 +126,7 @@ class Model:
             )
         object.__setattr__(self, "_features", features)
         object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_dense", dense)
-        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_block", block)
 
 
 def recover_alpha(nmap: NystromMap, gamma: np.ndarray) -> NystromRecovery:
@@ -182,16 +180,17 @@ def decide_all(model: Model, rows: SparseRows) -> np.ndarray:
 def decide_block(model: Model, rows: SparseRows) -> np.ndarray:
     """Raw decision value of every row, with the bits of :func:`decide`.
 
-    When each row holds exactly the features of the model's landmark table
-    or frequency matrix, the block is scored about ROW_BLOCK_VALUES kernel
-    values or cosines at a time, as stacks of one-row products: each row
-    makes the BLAS calls that :func:`decide` makes for it, so its score
-    does not depend on the block. Any other block, and one whose products
+    The block is mapped about ROW_BLOCK_VALUES kernel values or cosines at
+    a time by :meth:`~assetsvm.kernels.Landmarks.rows` or
+    :meth:`~assetsvm.kernels.FourierMap.map_rows`, whose rows have the bits
+    of the one-point map, and each row meets the weights in a one-row
+    product: every row makes the BLAS calls that :func:`decide` makes for
+    it, so its score does not depend on the block, dense or sparse. A block
+    with a feature index past the model's dimension, and one whose products
     overflow or give a NaN, goes through :func:`decide_all`, so such a
     point fails, or warns, as it does alone.
     """
-    x = rows.dense(model._width)
-    if x is None:
+    if rows.indices.size and rows.indices.max() >= model.input_dim:
         return decide_all(model, rows)
     weights = model._weights[:, np.newaxis]
     scores = np.empty(len(rows))
@@ -200,7 +199,7 @@ def decide_block(model: Model, rows: SparseRows) -> np.ndarray:
     try:
         with np.errstate(over="raise", invalid="raise"):
             for start in range(0, len(rows), step):
-                features = model._dense(x[start : start + step])[:, np.newaxis, :]
+                features = model._block(rows[start : start + step])[:, np.newaxis, :]
                 scores[start : start + step] = np.matmul(features, weights)[:, 0, 0]
             scores += model.b
     except FloatingPointError:
@@ -299,10 +298,11 @@ def score_file(model: Model, path: str, task: str, score: Scorer) -> tuple[np.nd
     """The label and the raw decision value of every point of a libsvm file.
 
     The labels are mapped as :func:`~assetsvm.data.load_libsvm` maps them
-    for ``task``. The scores come from ``score`` (:func:`decide_all` or
-    :func:`decide_block`), called on each parser block, or on the whole
-    file when it is not split; both give every point the bits of
-    :func:`decide`. A file of at least ``halves.MIN_BYTES`` is split once
+    for ``task``. The scores come from ``score`` (:func:`decide_all`, one
+    :func:`decide` call per point, or :func:`decide_block`, which maps
+    every block whole, dense or sparse), called on each parser block, or
+    on the whole file when it is not split; both give every point the bits
+    of :func:`decide`. A file of at least ``halves.MIN_BYTES`` is split once
     (see :mod:`assetsvm.halves`), and so is one scored by :func:`decide_all`
     whose points need at least ``halves.MIN_EVALS`` kernel values or
     cosines: a forked child parses and scores the points after the middle

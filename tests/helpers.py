@@ -86,6 +86,23 @@ def planted_dataset(m: int, n: int, seed: int) -> Dataset:
     return matrix_dataset(X, y, "classification")
 
 
+def uneven_sparse(m: int, n: int, seed: int, narrow: int | None = None) -> Dataset:
+    """m classification rows of 0 to 5 nonzeros, labeled by a random hyperplane.
+
+    The first row is empty and the last one holds column n - 1; the others
+    draw their columns from the first ``narrow`` (default n).
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=n)
+    rows = [SparseVector(np.zeros(0, dtype=np.int64), np.zeros(0))]
+    for size in rng.integers(0, 6, size=m - 2):
+        columns = np.sort(rng.choice(narrow or n, size, replace=False))
+        rows.append(SparseVector(columns, rng.normal(size=size)))
+    rows.append(SparseVector(np.array([0, n - 1]), rng.normal(size=2)))
+    y = np.array([1.0 if x.values.dot(w[x.indices]) >= 0.0 else -1.0 for x in rows])
+    return Dataset(rows, y, n, "classification")
+
+
 def two_moons(m: int, seed: int, noise: float = 0.2) -> Dataset:
     """Two interleaved half-circles with Gaussian coordinate noise."""
     rng = np.random.default_rng(seed)

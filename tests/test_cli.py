@@ -27,14 +27,20 @@ def moons_files(tmp_path):
     return train, test
 
 
-_zeros = np.zeros
+def _bounded(allocate):
+    """``allocate`` (np.zeros or np.empty) refusing more than a million
+    entries instead of asking the host."""
+
+    def bounded(shape, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape).tolist()) > 1_000_000:
+            raise MemoryError(f"cannot allocate {shape}")
+        return allocate(shape, *args, **kwargs)
+
+    return bounded
 
 
-def bounded_zeros(shape, *args, **kwargs):
-    """np.zeros that refuses more than a million entries instead of asking the host."""
-    if math.prod(np.atleast_1d(shape).tolist()) > 1_000_000:
-        raise MemoryError(f"cannot allocate {shape}")
-    return _zeros(shape, *args, **kwargs)
+bounded_zeros = _bounded(np.zeros)
+bounded_empty = _bounded(np.empty)
 
 
 def train_args(train, model, **overrides):
@@ -301,7 +307,8 @@ class TestPredict:
         assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_oversized_support_index_is_data_error(self, tmp_path, capsys):
+    def test_oversized_support_index_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # a 10**12 x 1 table: the bounded np.zeros refuses it as the host would
         model = tmp_path / "model.txt"
         model.write_text(
             "ASSET-MODEL v1\ntask classification\napprox nystrom\nsigma 1.0\n"
@@ -310,8 +317,11 @@ class TestPredict:
         )
         data = tmp_path / "one.svm"
         data.write_text("+1 1:0.5\n")
+        monkeypatch.setattr(np, "zeros", bounded_zeros)
         assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "data error: the support points' kernel table does not fit in memory\n"
+        )
 
     def test_support_width_is_checked_before_densifying(self, tmp_path, capsys, monkeypatch):
         # an 8 GB support block for a 2-dimensional model: the width check
@@ -866,8 +876,11 @@ class TestMetricsFile:
 
 
 class TestHugeDimension:
-    def test_frequency_matrix_too_large_is_usage_error(self, moons_files, tmp_path, capsys):
+    def test_frequency_matrix_too_large_is_usage_error(self, moons_files, tmp_path, capsys,
+                                                       monkeypatch):
+        # a 10**11 x 2 matrix: the bounded np.empty refuses it as the host would
         train, _ = moons_files
+        monkeypatch.setattr(np, "empty", bounded_empty)
         model, metrics = tmp_path / "model.txt", tmp_path / "m.csv"
         code = main(["train", "--task", "class", "--approx", "fourier", "--d", "100000000000",
                      "--data", train, "--model", str(model), "--metrics", str(metrics)])

@@ -1,11 +1,15 @@
-"""numpy is the package's only third-party runtime dependency, and the
-package's modules talk to each other through public names."""
+"""numpy is the package's only third-party runtime dependency, the
+package's modules talk to each other through public names, and the
+commands leave numpy.ma unimported."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "assetsvm"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "assetsvm"
 ALLOWED = {"numpy", "assetsvm"}
 
 
@@ -86,3 +90,40 @@ def test_the_split_policy_lives_in_halves():
         "model.py: worth_splitting", "model.py: child", "model.py: read_exact",
         "model.py: BOUNCE_BYTES",
     }
+
+
+# Trains, predicts and evaluates both maps on sparse files of uneven rows,
+# then prints whether numpy.ma was imported along the way.
+RUN_COMMANDS = """
+import os, sys
+from assetsvm.cli import main
+from helpers import uneven_sparse, write_libsvm
+
+root = sys.argv[1]
+train = write_libsvm(os.path.join(root, "train.svm"), uneven_sparse(60, 30, seed=1, narrow=12))
+test = write_libsvm(os.path.join(root, "test.svm"), uneven_sparse(40, 30, seed=2))
+model, out = os.path.join(root, "model.txt"), os.path.join(root, "out")
+for approx, size in (("nystrom", "--s"), ("fourier", "--d")):
+    for argv in (
+        ["train", "--task", "class", "--approx", approx, size, "9", "--iters", "200",
+         "--data", train, "--model", model, "--eval-data", test,
+         "--metrics", os.path.join(root, "metrics.csv")],
+        ["predict", "--model", model, "--data", test, "--out", out],
+        ["eval", "--model", model, "--data", test],
+    ):
+        assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 1.2 MiB of peak memory in every command that
+    # imports it; numpy imports it lazily, on the first call that needs it
+    # (np.unique is one)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), str(TESTS)]))
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_COMMANDS, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from helpers import (
     kernel_eval,
     matrix_dataset,
     planted_dataset,
+    uneven_sparse,
 )
 
 
@@ -308,7 +310,7 @@ class TestTrainingRows:
     @pytest.mark.parametrize(
         "approx, layout", [("nystrom", "dense"), ("fourier", "dense"), ("fourier", "mixed")]
     )
-    def test_rows_mapped_once_with_map_point_bytes(self, approx, layout, monkeypatch):
+    def test_rows_mapped_once_with_map_point_bytes(self, approx, layout):
         ds = planted_dataset(15, 3, seed=21)
         if layout == "mixed":
             # one row without its middle feature: the block is not dense
@@ -316,14 +318,10 @@ class TestTrainingRows:
             examples[4] = SparseVector(np.array([0, 2]), examples[4].values[[0, 2]])
             ds = Dataset(examples, ds.labels, ds.n, ds.task)
         fmap = _build_map(approx, ds)
-        dense_heights = []
-        if approx == "fourier":
-            map_dense = fmap.map_dense
-            monkeypatch.setattr(
-                fmap, "map_dense", lambda x: dense_heights.append(len(x)) or map_dense(x)
-            )
         reset_eval_counts()
-        matrix = fmap.training_matrix(ds)
+        # every block, dense or not, is mapped whole, never point by point
+        with mock.patch.object(fmap, "map_point", side_effect=AssertionError("map_point")):
+            matrix = fmap.training_matrix(ds)
         rows = [fmap.training_row(ds, i) for i in range(ds.m)]
         assert fmap.training_matrix(ds) is matrix
         assert all(row.base is matrix for row in rows)
@@ -331,8 +329,6 @@ class TestTrainingRows:
         counts = eval_counts()
         assert counts["kernel"] + counts["cosine"] == ds.m * per_row
         assert matrix.shape == (ds.m, fmap.dim)
-        # a dense cosine block is one map_dense call, with each row's map_point bits
-        assert dense_heights == ([ds.m] if (approx, layout) == ("fourier", "dense") else [])
         for i, x in enumerate(ds.examples):
             assert matrix[i].tobytes() == fmap.map_point(x).tobytes()
             np.testing.assert_array_equal(rows[i], matrix[i])
@@ -400,8 +396,31 @@ class TestRowBlocks:
             blocks = [landmarks.rows(rows[i : i + height]) for i in range(0, len(rows), height)]
             np.testing.assert_array_equal(np.vstack(blocks), whole)
         for x, row in zip(points, whole):
+            assert row.tobytes() == landmarks.row(x).tobytes()
             exact = [kernel_eval(kernel, x, p) for p in landmarks.points]
             np.testing.assert_allclose(row, exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
+    @pytest.mark.parametrize("block_values", [1 << 14, 30])
+    def test_uneven_rows_have_the_one_point_bytes(self, approx, block_values, monkeypatch):
+        # 1000 rows of 0 to 5 nonzeros over 30 columns, an empty row first;
+        # the landmarks hold the first 12 columns, so most rows reach past
+        # them. With 30 values per stack, the rows of each length are cut
+        # into many stacks.
+        points = list(uneven_sparse(1000, 30, seed=34).examples)
+        kernel = GaussianKernel(0.4)
+        if approx == "nystrom":
+            landmarks = Landmarks(kernel, planted_dataset(10, 12, seed=35).examples)
+            one_row, block = landmarks.row, landmarks.rows
+        else:
+            fmap = build_fourier(30, 24, kernel, seed=35)
+            one_row, block = fmap.map_point, fmap.map_rows
+        monkeypatch.setattr(kernels, "ROW_BLOCK_VALUES", block_values)
+        rows = SparseRows.of(points)
+        want = np.stack([one_row(x) for x in points])
+        for height in (1, 3, 64, 1000):
+            blocks = [block(rows[i : i + height]) for i in range(0, len(rows), height)]
+            assert np.vstack(blocks).tobytes() == want.tobytes()
 
     def test_features_beyond_the_landmark_width_enter_the_norms(self):
         # landmarks use columns 0 and 1 of 5; the queries reach column 4
@@ -417,7 +436,7 @@ class TestRowBlocks:
         for x, row in zip(queries, rows):
             exact = [kernel_eval(kernel, x, p) for p in nmap.landmarks.points]
             np.testing.assert_allclose(row, exact, rtol=1e-12)
-            np.testing.assert_allclose(nmap.landmarks.row(x), row, rtol=1e-12)
+            assert nmap.landmarks.row(x).tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
     def test_block_size_leaves_rows_unchanged(self, approx, monkeypatch):
@@ -506,8 +525,11 @@ class TestDenseRows:
     def test_fourier_point_past_the_columns_is_not_dense(self):
         # two features against two columns, but not columns 0 and 1
         fmap = build_fourier(2, 8, GaussianKernel(1.0), seed=38)
+        x = SparseVector(np.array([0, 5]), np.array([1.0, 2.0]))
         with pytest.raises(IndexError):
-            fmap.map_point(SparseVector(np.array([0, 5]), np.array([1.0, 2.0])))
+            fmap.map_point(x)
+        with pytest.raises(IndexError):
+            fmap.map_rows(SparseRows.of((x,)))
 
     @pytest.mark.parametrize("block_values", [1, 3, 1 << 14])
     def test_frequencies_are_one_row_major_draw(self, block_values, monkeypatch):

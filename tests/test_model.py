@@ -43,6 +43,7 @@ from helpers import (
     planted_dataset,
     split_files,
     to_dense,
+    uneven_sparse,
 )
 
 
@@ -192,9 +193,8 @@ class TestDecide:
 class TestDecideBlock:
     """decide_block against one decide call per point, bit for bit.
 
-    Dense blocks, whose rows hold every feature of the landmark table or
-    the frequency matrix, are scored as stacks of one-row products; every
-    other block goes through decide. A plain block product (``x @ table``,
+    Every block, dense, sparse or mixed, is scored as stacks of one-row
+    products, without a decide call. A plain block product (``x @ table``,
     ``cross @ alpha``, ``phase @ gamma``) rounds by the block's shape and
     fails these tests.
     """
@@ -244,33 +244,54 @@ class TestDecideBlock:
 
     @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
     @pytest.mark.parametrize("layout", ["sparse", "mixed"])
-    def test_other_blocks_score_through_decide(self, approx, layout):
+    @pytest.mark.parametrize("block_values", [1 << 14, 50])
+    def test_sparse_and_mixed_blocks_score_as_decide(self, approx, layout, block_values,
+                                                     monkeypatch):
+        # with 50 values per stack, rows of k nonzeros are stacked a few at a
+        # time, so every block below is cut into several stacks per length
         model = self.landmark_model() if approx == "nystrom" else self.cosine_model()
         rng = np.random.default_rng(53)
-        points = [SparseVector(np.array([0, 4, 11]), rng.normal(size=3)) for _ in range(6)]
+        points = list(uneven_sparse(40, 12, seed=53).examples)
         if layout == "mixed":
-            points = [dense_vector(rng.normal(size=12)) for _ in range(6)] + points[:1]
+            points += [dense_vector(rng.normal(size=12)) for _ in range(6)]
+            rng.shuffle(points)
         rows = SparseRows.of(points)
-        with mock.patch.object(model_module, "decide", wraps=decide) as decided:
-            self.assert_decides_alike(model, rows)
-        assert decided.call_count == len(rows)
+        want = np.array([decide(model, x) for x in rows])
+        monkeypatch.setattr(kernels, "ROW_BLOCK_VALUES", block_values)
+        for height in (1, 7, len(rows)):
+            for start in range(0, len(rows), height):
+                block = rows[start : start + height]
+                with mock.patch.object(model_module, "decide", wraps=decide) as decided:
+                    scores = decide_block(model, block)
+                assert not decided.called
+                assert np.array_equal(
+                    scores.view(np.int64), want[start : start + height].view(np.int64)
+                )
 
-    def test_rows_wider_than_the_table_score_through_decide(self):
-        # the supports hold features 0-3 of 8: a row of all 8 is wider than
-        # the table and goes through decide, a row of 0-3 is dense
+    def test_rows_wider_than_the_table_score_as_decide(self):
+        # the supports hold features 0-3 of 8: the features of a row past
+        # the table enter only its norm, in a block as alone
         rng = np.random.default_rng(54)
         rows = tuple(dense_vector(rng.normal(size=4)) for _ in range(30))
         ds = Dataset(rows, np.where(rng.random(30) < 0.5, 1.0, -1.0), 8, "classification")
         model, _ = nystrom_model(ds, sample=20, sigma=0.3, seed=6)
         assert model.payload.landmarks.width == 4 and model.input_dim == 8
-        wide = SparseRows.of(dense_vector(rng.normal(size=8)) for _ in range(9))
-        with mock.patch.object(model_module, "decide", wraps=decide) as decided:
-            self.assert_decides_alike(model, wide)
-        assert decided.call_count == len(wide)
-        narrow = SparseRows.of(dense_vector(rng.normal(size=4)) for _ in range(9))
-        with mock.patch.object(model_module, "decide", wraps=decide) as decided:
-            self.assert_decides_alike(model, narrow)
-        assert not decided.called
+        wide = [dense_vector(rng.normal(size=8)) for _ in range(9)]
+        wide += [SparseVector(np.array([1, 6]), rng.normal(size=2)),
+                 SparseVector(np.array([5]), np.ones(1))]
+        narrow = [dense_vector(rng.normal(size=4)) for _ in range(9)]
+        for points in (wide, narrow, wide + narrow + list(uneven_sparse(12, 8, seed=55).examples)):
+            with mock.patch.object(model_module, "decide", wraps=decide) as decided:
+                self.assert_decides_alike(model, SparseRows.of(points))
+            assert not decided.called
+
+    @pytest.mark.parametrize("approx", ["nystrom", "fourier"])
+    def test_a_row_past_the_model_dimension_fails_as_decide_does(self, approx):
+        model = self.landmark_model() if approx == "nystrom" else self.cosine_model()
+        rows = SparseRows.of([*uneven_sparse(6, 12, seed=56).examples, dense_vector(np.ones(13))])
+        message = "^point uses feature index 13 beyond model dimension 12$"
+        with pytest.raises(ValueError, match=message):
+            decide_block(model, rows)
 
     def test_an_overflowing_block_fails_as_decide_does(self):
         # the products' error is dropped: decide scores the block again and

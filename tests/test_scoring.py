@@ -26,10 +26,10 @@ from unittest import mock
 import pytest
 
 from assetsvm import data as data_module
-from assetsvm import eval_counts, halves, kernels, reset_eval_counts
+from assetsvm import eval_counts, halves, kernels, load_model, reset_eval_counts
 from assetsvm import model as model_module
 from assetsvm.cli import main
-from helpers import split_files, two_moons, write_libsvm
+from helpers import split_files, two_moons, uneven_sparse, write_libsvm
 
 TESTS = Path(__file__).resolve().parent
 BENCH = TESTS.parent / "bench"
@@ -266,11 +266,15 @@ def test_a_bad_line_in_the_childs_half_fails_as_unsplit(last, message, tmp_path,
 # Trains, predicts and evaluates each case with every split off, then on,
 # and writes each output file under argv[1]/<case>-<split>/. The
 # "nystrom-blocks" case trains on the wide file: 600 rows over 80 landmarks
-# map in several blocks of kernels.ROW_BLOCK_VALUES // 80 rows.
+# map in several blocks of kernels.ROW_BLOCK_VALUES // 80 rows. The
+# "sparse" cases train on and score sparse files of uneven rows, an empty
+# row among them, whose test points reach past the landmarks' width.
 CASES = (
-    ("nystrom", "nystrom", ["--s", "9"], "train"),
-    ("fourier", "fourier", ["--d", "13"], "train"),
+    ("nystrom", "nystrom", ["--s", "9"], "moons"),
+    ("fourier", "fourier", ["--d", "13"], "moons"),
     ("nystrom-blocks", "nystrom", ["--s", "80"], "wide"),
+    ("nystrom-sparse", "nystrom", ["--s", "9"], "sparse"),
+    ("fourier-sparse", "fourier", ["--d", "13"], "sparse"),
 )
 RUN_CASES = f"CASES = {CASES!r}\n" + """
 import contextlib, io, os, sys
@@ -278,9 +282,10 @@ from assetsvm.cli import main
 from assetsvm.model import decide_block, load_model, score_file
 from helpers import split_files
 
-root, train, wide, test = sys.argv[1:]
-for case, approx, size, data in CASES:
-    data = wide if data == "wide" else train
+root, train, wide, test, sparse_train, sparse_test = sys.argv[1:]
+for case, approx, size, files in CASES:
+    data, points = {"moons": (train, test), "wide": (wide, test),
+                    "sparse": (sparse_train, sparse_test)}[files]
     for split in (False, True):
         out = os.path.join(root, f"{case}-{split}")
         os.mkdir(out)
@@ -288,13 +293,13 @@ for case, approx, size, data in CASES:
         with split_files(split), contextlib.redirect_stdout(io.StringIO()) as text:
             assert main(["train", "--task", "class", "--approx", approx, *size,
                          "--sigma", "2.0", "--iters", "300", "--seed", "4", "--data", data,
-                         "--model", model, "--eval-data", test,
+                         "--model", model, "--eval-data", points,
                          "--metrics", os.path.join(out, "metrics.csv")]) == 0
-            assert main(["predict", "--model", model, "--data", test, "--out", preds]) == 0
-            assert main(["eval", "--model", model, "--data", test]) == 0
-            assert main(["eval", "--pred", preds, "--data", test, "--task", "class"]) == 0
+            assert main(["predict", "--model", model, "--data", points, "--out", preds]) == 0
+            assert main(["eval", "--model", model, "--data", points]) == 0
+            assert main(["eval", "--pred", preds, "--data", points, "--task", "class"]) == 0
             # the scores eval computes, in blocks, beside those predict wrote
-            _, scores = score_file(load_model(model), test, "classification", decide_block)
+            _, scores = score_file(load_model(model), points, "classification", decide_block)
         with open(os.path.join(out, "eval.txt"), "w") as handle:
             handle.write(text.getvalue())
         with open(os.path.join(out, "scores.txt"), "w") as handle:
@@ -306,6 +311,9 @@ def test_outputs_are_identical_across_interpreters_threads_and_splits(tmp_path):
     train = write_libsvm(tmp_path / "train.svm", two_moons(60, seed=5))
     wide = write_libsvm(tmp_path / "wide.svm", two_moons(600, seed=7))
     test = write_libsvm(tmp_path / "test.svm", two_moons(30, seed=6))
+    sparse_train = write_libsvm(tmp_path / "sparse-train.svm",
+                                uneven_sparse(60, 30, seed=8, narrow=12))
+    sparse_test = write_libsvm(tmp_path / "sparse-test.svm", uneven_sparse(40, 30, seed=9))
     assert 600 > 2 * (kernels.ROW_BLOCK_VALUES // 80)
     runs = []
     for threads, hash_seed in (("1", "1"), ("2", "2")):
@@ -315,7 +323,8 @@ def test_outputs_are_identical_across_interpreters_threads_and_splits(tmp_path):
                    PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
         runs.append((root, subprocess.Popen(
-            [sys.executable, "-c", RUN_CASES, str(root), train, wide, test],
+            [sys.executable, "-c", RUN_CASES, str(root), train, wide, test, sparse_train,
+             sparse_test],
             env=env, stderr=subprocess.PIPE, text=True,
         )))
     try:
@@ -342,6 +351,9 @@ def test_outputs_are_identical_across_interpreters_threads_and_splits(tmp_path):
             assert files["scores.txt"].splitlines() == alone
         for files in outputs[1:]:
             assert files == first
+    # the sparse landmark model's table is 12 features tall, of 30
+    landmarks = load_model(str(runs[0][0] / "nystrom-sparse-False" / "model.txt")).payload.landmarks
+    assert landmarks.width == 12
 
 
 @pytest.mark.parametrize("approx, size", APPROXES, ids=["nystrom", "fourier"])
